@@ -130,10 +130,7 @@ def cmd_count(args) -> int:
         elif fam == "Rbar":
             value = bar_p_poly(meta["l"], meta["q"], meta["x"])
         elif fam in ("H_l", "H_lq", "Hbar_lq"):
-            a, b, k = meta["hex"]
-            rep = V.verify_hexagon_formula(HexParams(a, b, k), meta["windows"])
-            cut = symmetry_axis_cut(reg)
-            value = rep.values["rhs"] * 2**cut.width
+            value = V.hexagon_formula(HexParams(*meta["hex"]), meta["windows"])
         else:
             raise UsageError("the formula method needs a constructed family, not a file")
     else:  # pragma: no cover - argparse restricts choices

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RationalMatrix, determinant
-from .lattice import Cell, Loz, Region, balance, is_up, lozenge
+from .lattice import Loz, Region, balance, is_up, lozenge
 from .regions import IndexList, Vertex, ZigzagWalk, zigzag_walk
 
 SOUTHWEST = "southwest"
@@ -78,36 +78,54 @@ def count_oracle(r: Region) -> Fraction:
 
 
 def enumerate_tilings(r: Region):
-    """Yield every tiling as a frozenset of lozenge positions (small regions)."""
-    cells = sorted(r.cells)
+    """Yield every tiling as a frozenset of lozenge positions (small regions).
 
-    def rec(remaining: set[Cell], acc: list[Loz]):
-        if not remaining:
-            yield frozenset(acc)
-            return
-        cell = min(remaining)
+    Backtracking over the sorted cells: the first uncovered cell is paired
+    with each still-uncovered forward partner in turn (east, then
+    southwest for a down cell), so tilings come out in a fixed order.
+    """
+    cells = sorted(r.cells)
+    ncells = len(cells)
+    if ncells % 2:
+        return
+    index = {c: i for i, c in enumerate(cells)}
+    moves: list[list[tuple[int, Loz]]] = []
+    for cell in cells:
         row, col = cell
         fwd = [(row, col + 1)] if is_up(cell) else [(row, col + 1), (row + 1, col - 1)]
-        for mate in fwd:
-            if mate in remaining:
-                remaining.discard(cell)
-                remaining.discard(mate)
-                acc.append(lozenge(cell, mate))
-                yield from rec(remaining, acc)
-                acc.pop()
-                remaining.add(cell)
-                remaining.add(mate)
+        moves.append([(index[mate], lozenge(cell, mate)) for mate in fwd if mate in index])
 
-    if len(cells) % 2 == 0:
-        yield from rec(set(cells), [])
+    covered = [False] * ncells
+    acc: list[Loz] = []
+    placed: list[tuple[int, int]] = []  # (cell index, move index) per lozenge in acc
+    i = k = 0
+    while True:
+        while i < ncells and covered[i]:
+            i += 1
+        if i == ncells:
+            yield frozenset(acc)
+        else:
+            opts = moves[i]
+            while k < len(opts) and covered[opts[k][0]]:
+                k += 1
+            if k < len(opts):
+                j, pos = opts[k]
+                covered[i] = covered[j] = True
+                acc.append(pos)
+                placed.append((i, k))
+                i, k = i + 1, 0
+                continue
+        # dead end or a finished tiling: undo the last lozenge, try its next move
+        if not placed:
+            return
+        i, k = placed.pop()
+        covered[i] = covered[moves[i][k][0]] = False
+        acc.pop()
+        k += 1
 
 
 def tiling_weight(r: Region, tiling: frozenset[Loz]) -> Fraction:
-    w = Fraction(1)
-    for pos in tiling:
-        if pos in r.half:
-            w /= 2
-    return w
+    return Fraction(1, 1 << len(tiling & r.half))
 
 
 @dataclass(frozen=True)
@@ -134,31 +152,44 @@ def _path_matrix(walkdata: ZigzagWalk, side: str) -> tuple[PathEndpoints, Ration
     (va+1, vb) across cells ((vb, 2va), (vb, 2va+1)) or southeast to
     (va+1, vb-1) across ((vb, 2va), (vb-1, 2va+1)).  Either way the
     segment coordinates only grow in a fixed lexicographic order, so one
-    sorted sweep per start segment suffices.
+    sorted sweep of the segments is a topological order for every start.
+
+    The sweep runs once for all start segments: each segment carries one
+    Python int per start, the sum over paths of the product of doubled
+    step weights (2 for weight 1, 1 for weight 1/2).  Every step adds 1 to
+    va+vb on the southwestern side and to va on the northwestern side, so
+    all paths from u to v have the same number of steps, steps(v) -
+    steps(u), and the (u, v) entry is the integer sum divided by
+    2**(steps(v) - steps(u)).
     """
     region = walkdata.region
     cells = region.cells
     half = region.half
+    # transitions(seg) yields (mate cell, sorted lozenge position, next segment)
     if side == SOUTHWEST:
         starts = tuple(walkdata.sw_side)
         ends = tuple(reversed(walkdata.right_se))
         order_key = lambda seg: seg
+        steps = lambda seg: seg[0] + seg[1]
         def transitions(seg: Vertex):
             va, vb = seg
             pivot = (vb, 2 * va + 1)
             if pivot in cells:
-                yield pivot, (vb, 2 * va + 2), (va + 1, vb)
-                yield pivot, (vb + 1, 2 * va), (va, vb + 1)
+                east, northeast = (vb, 2 * va + 2), (vb + 1, 2 * va)
+                yield east, (pivot, east), (va + 1, vb)
+                yield northeast, (pivot, northeast), (va, vb + 1)
     else:
         starts = tuple(walkdata.nw_side)
         ends = tuple(walkdata.right_sw)
         order_key = lambda seg: (seg[0], -seg[1])
+        steps = lambda seg: seg[0]
         def transitions(seg: Vertex):
             va, vb = seg
             pivot = (vb, 2 * va)
             if pivot in cells:
-                yield pivot, (vb, 2 * va + 1), (va + 1, vb)
-                yield pivot, (vb - 1, 2 * va + 1), (va + 1, vb - 1)
+                east, southeast = (vb, 2 * va + 1), (vb - 1, 2 * va + 1)
+                yield east, (pivot, east), (va + 1, vb)
+                yield southeast, (southeast, pivot), (va + 1, vb - 1)
 
     # all segments with an outgoing move, plus every endpoint; both moves
     # strictly increase the order key, so one sorted sweep is a valid
@@ -171,18 +202,36 @@ def _path_matrix(walkdata: ZigzagWalk, side: str) -> tuple[PathEndpoints, Ration
             universe.add((col_ // 2, row_))
     order = sorted(universe, key=order_key)
 
+    n = len(starts)
+    sums: dict[Vertex, list[int]] = {}
+    for i, u in enumerate(starts):
+        sums.setdefault(u, [0] * n)[i] = 1
+    # a vector is dropped once propagated, unless its segment is an end, so
+    # only the sweep front is held in memory
+    keep = set(ends)
+    for seg in order:
+        vec = sums.get(seg) if seg in keep else sums.pop(seg, None)
+        if vec is None:
+            continue
+        for mate, pos, nxt in transitions(seg):
+            if mate in cells:
+                w2 = 1 if pos in half else 2
+                acc = sums.get(nxt)
+                if acc is None:
+                    sums[nxt] = [w2 * v for v in vec]
+                else:
+                    sums[nxt] = [a + w2 * v for a, v in zip(acc, vec)]
+
+    unreached = [0] * n
+    columns = [sums.get(v, unreached) for v in ends]
+    zero = Fraction(0)
     rows = []
-    for u in starts:
-        values: dict[Vertex, Fraction] = {u: Fraction(1)}
-        for seg in order:
-            val = values.get(seg)
-            if not val:
-                continue
-            for pivot, mate, nxt in transitions(seg):
-                if mate in cells:
-                    w = Fraction(1, 2) if lozenge(pivot, mate) in half else Fraction(1)
-                    values[nxt] = values.get(nxt, Fraction(0)) + val * w
-        rows.append([values.get(seg, Fraction(0)) for seg in ends])
+    for i, u in enumerate(starts):
+        su = steps(u)
+        rows.append([
+            Fraction(col[i], 1 << (steps(v) - su)) if col[i] else zero
+            for v, col in zip(ends, columns)
+        ])
     return PathEndpoints(side, starts, ends), RationalMatrix(rows)
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def shifted_factorial(a: Fraction | int, k: int) -> Fraction:
     """Rising product a(a+1)...(a+k-1); equals 1 for k = 0."""
@@ -50,7 +48,8 @@ class RationalMatrix:
         for row in entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in RationalMatrix")
-        self.entries = [[Fraction(v) for v in row] for row in entries]
+        # Fractions are immutable, so entries that already are one are kept
+        self.entries = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in entries]
 
     def __getitem__(self, rc: tuple[int, int]) -> Fraction:
         r, c = rc

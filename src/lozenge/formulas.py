@@ -11,6 +11,7 @@ last-row recurrences of the determinant encoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,13 +74,6 @@ def _choose2(z: int) -> int:
     return z * (z - 1) // 2
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def _const(l: IndexList, q: IndexList, l_shift: int, q_shift: int) -> Fraction:
     """Common shape of the two normalizing constants.
 
@@ -92,9 +86,9 @@ def _const(l: IndexList, q: IndexList, l_shift: int, q_shift: int) -> Fraction:
     m, n = len(l), len(q)
     val = Fraction(2) ** (_choose2(n - m) - m)
     for v in l:
-        val /= _factorial(2 * v - l_shift)
+        val /= math.factorial(2 * v - l_shift)
     for v in q:
-        val /= _factorial(2 * v - q_shift)
+        val /= math.factorial(2 * v - q_shift)
     for i in range(m):
         for j in range(i + 1, m):
             val *= l[j] - l[i]
@@ -285,7 +279,7 @@ def coeff_C_product(k: int, l, q, x: int) -> Fraction:
     else:
         rising = 1 / shifted_factorial(base + length, -length)
     num = (2 * x + 2 * lm - m + n + 2) * rising
-    return num / (2 * _factorial(2 * qk + m - n))
+    return num / (2 * math.factorial(2 * qk + m - n))
 
 
 def coeff_D(k: int, l, q, x: int) -> Fraction:

@@ -104,9 +104,6 @@ def region(cells, half=()) -> Region:
     return Region(frozenset(cells), frozenset(lozenge(a, b) for a, b in half))
 
 
-EMPTY = Region()
-
-
 def balance(r: Region) -> int:
     """Number of up cells minus number of down cells (nonzero means untileable)."""
     up = sum(1 for c in r.cells if is_up(c))
@@ -151,10 +148,6 @@ def eliminate_forced(r: Region) -> tuple[Region, Fraction, bool]:
         pending = sorted(set(nxt))
     half = {pos for pos in half if pos[0] in cells and pos[1] in cells}
     return Region(frozenset(cells), frozenset(half)), factor, False
-
-
-def _anchor(cells: frozenset[Cell]) -> Cell:
-    return min(cells)
 
 
 def congruent(r1: Region, r2: Region) -> bool:

@@ -8,6 +8,7 @@ equal as rationals.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +46,7 @@ __all__ = [
     "CountReport",
     "check_reachability",
     "expected_cut_pieces",
+    "hexagon_formula",
     "instance_children",
     "index_list_pairs",
     "sweep_boundary_reductions",
@@ -183,22 +185,35 @@ def hexagon_instance(p: HexParams, windows: list[WindowSpec]) -> str:
     return f"H[a={p.a},b={p.b},k={p.k};w={wtxt or '-'}]"
 
 
+def _hexagon_sides(p: HexParams, windows: list[WindowSpec]):
+    """The canonical windowed region, its family, its cut width, and the
+    product of the two piece polynomials selected by the family and the
+    parity of a."""
+    cp, cws = canonical_hexagon(p, windows)
+    region, family, l, q = windowed_hexagon(cp, cws)
+    plus, minus = expected_cut_pieces(family, l, q, cp.a, cp.k)
+    width = symmetry_axis_cut(region).width
+    return region, family, width, family_poly(*plus) * family_poly(*minus)
+
+
+def hexagon_formula(p: HexParams, windows: list[WindowSpec]) -> Fraction:
+    """The weighted count of a windowed hexagon by the product formula,
+    2**width * P(plus) * P(minus); no tiling is counted."""
+    _, _, width, product = _hexagon_sides(p, windows)
+    return 2**width * product
+
+
 def verify_hexagon_formula(
     p: HexParams, windows: list[WindowSpec], oracle_value: Fraction | None = None
 ) -> CountReport:
     """The weighted hexagon count, scaled by 2**-width, equals the product of
     the two piece polynomials selected by the family and the parity of a."""
     started = time.perf_counter()
-    cp, cws = canonical_hexagon(p, windows)
-    region, family, l, q = windowed_hexagon(cp, cws)
+    region, family, width, product = _hexagon_sides(p, windows)
     rep = CountReport(hexagon_instance(p, windows) + f":{family}")
-    cut = symmetry_axis_cut(region)
     m_val = count_oracle(region) if oracle_value is None else oracle_value
-    plus, minus = expected_cut_pieces(family, l, q, cp.a, cp.k)
-    rep.values["lhs"] = m_val / 2**cut.width
-    rep.values["rhs"] = family_poly(plus[0], plus[1], plus[2], plus[3]) * family_poly(
-        minus[0], minus[1], minus[2], minus[3]
-    )
+    rep.values["lhs"] = m_val / 2**width
+    rep.values["rhs"] = product
     return rep.close(started)
 
 
@@ -480,7 +495,7 @@ def verify_increment_relations(l, q, k: int, x: int, which: str = "l") -> CountR
     # constant recurrences: dropping the largest label of either list
     if l:
         got = bar_c_const(l, q) / bar_c_const(omit(l, m), q)
-        want = Fraction(2) ** (m - n - 1) / _fact(2 * lm - 1)
+        want = Fraction(2) ** (m - n - 1) / math.factorial(2 * lm - 1)
         for v in l[:-1]:
             want *= lm - v
         for v in q:
@@ -490,7 +505,7 @@ def verify_increment_relations(l, q, k: int, x: int, which: str = "l") -> CountR
     if q:
         qn = q[-1]
         got = bar_c_const(l, q) / bar_c_const(l, omit(q, n))
-        want = Fraction(2) ** (n - m - 1) / _fact(2 * qn)
+        want = Fraction(2) ** (n - m - 1) / math.factorial(2 * qn)
         for v in q[:-1]:
             want *= qn - v
         for v in l:
@@ -501,13 +516,6 @@ def verify_increment_relations(l, q, k: int, x: int, which: str = "l") -> CountR
     rep.close(started)
     rep.match = ok
     return rep
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from lozenge.count import (
     gv_matrix,
     tiling_weight,
 )
-from lozenge.exact import determinant
-from lozenge.lattice import Region, region
-from lozenge.regions import HexParams, hexagon, min_x, r_bar_region, r_region
+from lozenge.exact import RationalMatrix, determinant
+from lozenge.lattice import Region, is_up, lozenge, region
+from lozenge.regions import HexParams, hexagon, min_x, r_bar_region, r_region, zigzag_walk
 from lozenge.verify import index_list_pairs
 
 
@@ -101,3 +101,99 @@ def test_gv_matrix_determinant_is_side_independent():
     _, m_sw = gv_matrix(l, q, x, "R", SOUTHWEST)
     _, m_nw = gv_matrix(l, q, x, "R", NORTHWEST)
     assert determinant(m_sw) == determinant(m_nw) == count_oracle(reg)
+
+
+def reference_path_matrix(l, q, x, family, side) -> RationalMatrix:
+    """One Fraction sweep of the segment universe per start segment."""
+    walkdata = zigzag_walk(l, q, x, barred=family == "Rbar")
+    cells, half = walkdata.region.cells, walkdata.region.half
+    if side == SOUTHWEST:
+        starts, ends = walkdata.sw_side, list(reversed(walkdata.right_se))
+        order_key = lambda seg: seg
+
+        def transitions(va, vb):
+            pivot = (vb, 2 * va + 1)
+            if pivot in cells:
+                yield pivot, (vb, 2 * va + 2), (va + 1, vb)
+                yield pivot, (vb + 1, 2 * va), (va, vb + 1)
+
+        tails = {((col - 1) // 2, row) for row, col in cells if col % 2}
+    else:
+        starts, ends = walkdata.nw_side, walkdata.right_sw
+        order_key = lambda seg: (seg[0], -seg[1])
+
+        def transitions(va, vb):
+            pivot = (vb, 2 * va)
+            if pivot in cells:
+                yield pivot, (vb, 2 * va + 1), (va + 1, vb)
+                yield pivot, (vb - 1, 2 * va + 1), (va + 1, vb - 1)
+
+        tails = {(col // 2, row) for row, col in cells if col % 2 == 0}
+    order = sorted(set(starts) | set(ends) | tails, key=order_key)
+    rows = []
+    for u in starts:
+        values = {u: Fraction(1)}
+        for seg in order:
+            val = values.get(seg)
+            if not val:
+                continue
+            for pivot, mate, nxt in transitions(*seg):
+                if mate in cells:
+                    w = Fraction(1, 2) if lozenge(pivot, mate) in half else Fraction(1)
+                    values[nxt] = values.get(nxt, Fraction(0)) + val * w
+        rows.append([values.get(seg, Fraction(0)) for seg in ends])
+    return RationalMatrix(rows)
+
+
+def test_gv_matrix_equals_per_start_reference_sweep():
+    # Rbar members carry the half-weighted steps
+    checked = 0
+    for l, q in index_list_pairs(3, 2):
+        if not l and not q:
+            continue
+        for family, barred in (("R", False), ("Rbar", True)):
+            lo = min_x(l, q, barred)
+            for x in (lo, lo + 1):
+                for side in (SOUTHWEST, NORTHWEST):
+                    _, matrix = gv_matrix(l, q, x, family, side)
+                    want = reference_path_matrix(l, q, x, family, side)
+                    assert matrix == want, (family, l, q, x, side)
+                    checked += 1
+    assert checked == 4 * 2 * (7 * 7 - 1)
+
+
+def reference_tilings(r: Region):
+    """Recursive enumeration that always pairs the least uncovered cell."""
+
+    def rec(remaining: set, acc: list):
+        if not remaining:
+            yield frozenset(acc)
+            return
+        cell = min(remaining)
+        row, col = cell
+        fwd = [(row, col + 1)] if is_up(cell) else [(row, col + 1), (row + 1, col - 1)]
+        for mate in fwd:
+            if mate in remaining:
+                remaining -= {cell, mate}
+                acc.append(lozenge(cell, mate))
+                yield from rec(remaining, acc)
+                acc.pop()
+                remaining |= {cell, mate}
+
+    if len(r.cells) % 2 == 0:
+        yield from rec(set(r.cells), [])
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        Region(),
+        region([(0, 0)]),
+        hexagon(HexParams(2, 2, 0)),
+        hexagon(HexParams(3, 2, 0)),
+        r_region((1, 3), (2,), 2),
+        r_bar_region((1,), (1, 2), 1),
+    ],
+)
+def test_enumerate_tilings_matches_least_cell_recursion_in_order(r):
+    assert list(enumerate_tilings(r)) == list(reference_tilings(r))

@@ -89,6 +89,27 @@ def test_cli_count_windowed_hexagon_formula(capsys):
     assert oracle == formula
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ["--a", "3", "--b", "3", "--k", "2", "--window", "D:2@3"],
+        ["--a", "3", "--b", "3", "--k", "1", "--window", "D:2@4", "--window", "N:1@3"],
+    ],
+)
+def test_cli_count_hexagon_formula_never_runs_the_oracle(capsys, monkeypatch, shape):
+    args = ["count", "--family", "H", *shape]
+    assert main([*args, "--method", "oracle"]) == 0
+    oracle = capsys.readouterr().out.strip()
+
+    def refuse(region):
+        raise AssertionError("the formula method ran the oracle")
+
+    monkeypatch.setattr("lozenge.cli.count_oracle", refuse)
+    monkeypatch.setattr("lozenge.verify.count_oracle", refuse)
+    assert main([*args, "--method", "formula"]) == 0
+    assert capsys.readouterr().out.strip() == oracle
+
+
 def test_cli_usage_errors(capsys):
     assert main(["count", "--family", "R", "--l", "3,2", "--x", "1"]) == 2
     assert "strictly increasing" in capsys.readouterr().err
