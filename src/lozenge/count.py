@@ -2,8 +2,10 @@
 
 ``count_oracle`` sums lozenge weights over all tilings by a profile
 dynamic program: cells are scanned in (row, col) order, and each state is
-the bitmask of already-covered cells ahead of the scan front.  It works
-on any region.
+the bitmask of already-covered cells ahead of the scan front.  An up cell
+and its east down neighbour are scanned as one step: the down cell's only
+backward partner is that up cell, so it is never covered before the pair
+is reached.  It works on any region.
 
 ``count_gv`` applies the nonintersecting-path determinant method to the
 two zigzag-anchored families: tilings biject onto tuples of paths of
@@ -28,7 +30,18 @@ NORTHWEST = "northwest"
 
 
 def count_oracle(r: Region) -> Fraction:
-    """Exact weighted tiling count by backtracking over the scan frontier.
+    """Exact weighted tiling count by a profile DP over the scan frontier.
+
+    Cells are scanned in (row, col) order; a state is the bitmask of cells
+    at or after the scan position that are already covered, mapped to the
+    weighted number of partial tilings.  An up cell's only forward partner
+    is its east neighbour, and a down cell's only backward partner is its
+    west neighbour.  So when an up cell is followed by its east neighbour,
+    that down cell cannot be covered yet (bit 1 is clear in every state),
+    and the pair is one step shifted by 2: a free up cell takes the
+    horizontal lozenge, a covered one lets the down cell pair with its east
+    neighbour or the up cell above it.  Every other cell is one step
+    shifted by 1.
 
     Weight-1 lozenges are counted with weight 2 internally and the total is
     divided by 2**(cells/2) at the end, so the whole dynamic program runs
@@ -43,75 +56,113 @@ def count_oracle(r: Region) -> Fraction:
     index = {c: i for i, c in enumerate(cells)}
     half = r.half
 
-    # forward partner offsets and doubled weights per cell
-    moves: list[list[tuple[int, int]]] = []
-    for i, cell in enumerate(cells):
-        row, col = cell
-        opts = []
-        fwd = [(row, col + 1)] if is_up(cell) else [(row, col + 1), (row + 1, col - 1)]
-        for mate in fwd:
-            j = index.get(mate)
-            if j is not None:
-                w2 = 1 if lozenge(cell, mate) in half else 2
-                opts.append((j - i, w2))
-        moves.append(opts)
+    def down_slots(j: int, base: int) -> list[tuple[int, int]]:
+        """(bit relative to cell base, doubled weight) for each forward
+        partner of down cell j."""
+        row, col = cell = cells[j]
+        slots = []
+        for mate in ((row, col + 1), (row + 1, col - 1)):
+            m = index.get(mate)
+            if m is not None:
+                slots.append((1 << (m - base), 1 if (cell, mate) in half else 2))
+        return slots
+
+    # (pair, horizontal weight, slots) per step; a pair step pads its slots
+    # to two with bit 0, which is set in every state that reads them
+    steps: list[tuple[bool, int, list[tuple[int, int]]]] = []
+    i = 0
+    while i < ncells:
+        row, col = cell = cells[i]
+        if not is_up(cell):
+            steps.append((False, 0, down_slots(i, i)))
+            i += 1
+        elif i + 1 < ncells and cells[i + 1] == (row, col + 1):
+            w2 = 1 if (cell, cells[i + 1]) in half else 2
+            slots = down_slots(i + 1, i)
+            steps.append((True, w2, slots + [(1, 0)] * (2 - len(slots))))
+            i += 2
+        else:
+            steps.append((False, 0, []))
+            i += 1
 
     states: dict[int, int] = {0: 1}
-    for i in range(ncells):
+    for pair, h2, slots in steps:
         nxt: dict[int, int] = {}
-        opts = moves[i]
-        for mask, val in states.items():
-            if mask & 1:
-                key = mask >> 1
-                nxt[key] = nxt.get(key, 0) + val
-                continue
-            for d, w2 in opts:
-                bit = 1 << d
-                if mask & bit:
+        get = nxt.get
+        if pair:
+            (b1, w1), (b2, w2) = slots
+            for mask, val in states.items():
+                if mask & 1:
+                    if not mask & b1:
+                        key = (mask | b1) >> 2
+                        nxt[key] = get(key, 0) + val * w1
+                    if not mask & b2:
+                        key = (mask | b2) >> 2
+                        nxt[key] = get(key, 0) + val * w2
+                else:
+                    key = mask >> 2
+                    nxt[key] = get(key, 0) + val * h2
+        else:
+            for mask, val in states.items():
+                if mask & 1:
+                    key = mask >> 1
+                    nxt[key] = get(key, 0) + val
                     continue
-                key = (mask | bit) >> 1
-                nxt[key] = nxt.get(key, 0) + val * w2
+                for bit, w2 in slots:
+                    if not mask & bit:
+                        key = (mask | bit) >> 1
+                        nxt[key] = get(key, 0) + val * w2
         if not nxt:
             return Fraction(0)
         states = nxt
     return Fraction(states.get(0, 0), 1 << (ncells // 2))
 
 
-def enumerate_tilings(r: Region):
-    """Yield every tiling as a frozenset of lozenge positions (small regions).
+def _walk_tilings(r: Region):
+    """Backtrack over every tiling of a small region.
 
-    Backtracking over the sorted cells: the first uncovered cell is paired
-    with each still-uncovered forward partner in turn (east, then
-    southwest for a down cell), so tilings come out in a fixed order.
+    The first uncovered cell of the sorted scan is paired with each
+    still-uncovered forward partner in turn (east, then the up cell above
+    for a down cell), so tilings come out in a fixed order.  At each
+    tiling this yields the list of its lozenge positions, which is shared
+    and mutated by the walk, and the number of them that are half-weighted.
     """
     cells = sorted(r.cells)
     ncells = len(cells)
     if ncells % 2:
         return
     index = {c: i for i, c in enumerate(cells)}
-    moves: list[list[tuple[int, Loz]]] = []
+    half = r.half
+    # (mate index, position, 1 if half-weighted) per forward move
+    moves: list[list[tuple[int, Loz, int]]] = []
     for cell in cells:
         row, col = cell
         fwd = [(row, col + 1)] if is_up(cell) else [(row, col + 1), (row + 1, col - 1)]
-        moves.append([(index[mate], lozenge(cell, mate)) for mate in fwd if mate in index])
+        opts = []
+        for mate in fwd:
+            if mate in index:
+                pos = lozenge(cell, mate)
+                opts.append((index[mate], pos, int(pos in half)))
+        moves.append(opts)
 
     covered = [False] * ncells
     acc: list[Loz] = []
     placed: list[tuple[int, int]] = []  # (cell index, move index) per lozenge in acc
-    i = k = 0
+    halves = i = k = 0
     while True:
         while i < ncells and covered[i]:
             i += 1
         if i == ncells:
-            yield frozenset(acc)
+            yield acc, halves
         else:
             opts = moves[i]
             while k < len(opts) and covered[opts[k][0]]:
                 k += 1
             if k < len(opts):
-                j, pos = opts[k]
+                j, pos, h = opts[k]
                 covered[i] = covered[j] = True
                 acc.append(pos)
+                halves += h
                 placed.append((i, k))
                 i, k = i + 1, 0
                 continue
@@ -119,13 +170,30 @@ def enumerate_tilings(r: Region):
         if not placed:
             return
         i, k = placed.pop()
-        covered[i] = covered[moves[i][k][0]] = False
+        j, _, h = moves[i][k]
+        covered[i] = covered[j] = False
         acc.pop()
+        halves -= h
         k += 1
 
 
-def tiling_weight(r: Region, tiling: frozenset[Loz]) -> Fraction:
-    return Fraction(1, 1 << len(tiling & r.half))
+def enumerate_tilings(r: Region):
+    """Yield every tiling as a frozenset of lozenge positions (small regions),
+    in the fixed order of the backtracking walk."""
+    for acc, _ in _walk_tilings(r):
+        yield frozenset(acc)
+
+
+def enumerated_count(r: Region) -> Fraction:
+    """Weighted tiling count by walking every tiling (small regions).
+
+    Independent of the oracle's frontier DP; a tiling with h half-weighted
+    lozenges contributes 2**-h.
+    """
+    by_halves: dict[int, int] = {}
+    for _, h in _walk_tilings(r):
+        by_halves[h] = by_halves.get(h, 0) + 1
+    return sum((Fraction(n, 1 << h) for h, n in by_halves.items()), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -332,6 +332,9 @@ def windowed_hexagon(
         l, q = below, above
 
     final, factor, untileable = eliminate_forced(holey)
+    if untileable:
+        raise ValueError(f"hexagon {p} with windows {windows} has no tilings: "
+                         "forced-lozenge elimination reached a dead end")
     if factor != 1:
         raise AssertionError("hexagon windows carry no weights; factor must stay 1")
     return final, family, l, q

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lozenge.count import (
     NORTHWEST,
@@ -8,17 +10,57 @@ from lozenge.count import (
     count_gv,
     count_oracle,
     enumerate_tilings,
+    enumerated_count,
     gv_matrix,
-    tiling_weight,
 )
 from lozenge.exact import RationalMatrix, determinant
-from lozenge.lattice import Region, is_up, lozenge, region
-from lozenge.regions import HexParams, hexagon, min_x, r_bar_region, r_region, zigzag_walk
-from lozenge.verify import index_list_pairs
+from lozenge.lattice import Region, balance, is_up, lozenge, partners, region, symmetry_axis_cut
+from lozenge.regions import (
+    HexParams,
+    hexagon,
+    min_x,
+    r_bar_region,
+    r_region,
+    windowed_hexagon,
+    zigzag_walk,
+)
+from lozenge.verify import index_list_pairs, window_placements
 
 
-def naive_count(r: Region) -> Fraction:
-    return sum((tiling_weight(r, t) for t in enumerate_tilings(r)), Fraction(0))
+def reference_oracle(r: Region) -> Fraction:
+    """The frontier DP with one scan step per cell, walking each cell's
+    list of forward moves for every state."""
+    ncells = len(r.cells)
+    if ncells == 0:
+        return Fraction(1)
+    if ncells % 2 or balance(r) != 0:
+        return Fraction(0)
+    cells = sorted(r.cells)
+    index = {c: i for i, c in enumerate(cells)}
+    moves = []
+    for i, cell in enumerate(cells):
+        row, col = cell
+        fwd = [(row, col + 1)] if is_up(cell) else [(row, col + 1), (row + 1, col - 1)]
+        moves.append([
+            (index[mate] - i, 1 if lozenge(cell, mate) in r.half else 2)
+            for mate in fwd if mate in index
+        ])
+    states = {0: 1}
+    for i in range(ncells):
+        nxt = {}
+        for mask, val in states.items():
+            if mask & 1:
+                nxt[mask >> 1] = nxt.get(mask >> 1, 0) + val
+                continue
+            for d, w2 in moves[i]:
+                bit = 1 << d
+                if not mask & bit:
+                    key = (mask | bit) >> 1
+                    nxt[key] = nxt.get(key, 0) + val * w2
+        if not nxt:
+            return Fraction(0)
+        states = nxt
+    return Fraction(states.get(0, 0), 1 << (ncells // 2))
 
 
 def test_oracle_trivial_values():
@@ -42,7 +84,96 @@ def test_oracle_trivial_values():
 )
 def test_oracle_agrees_with_naive_enumeration(builder):
     r = builder()
-    assert count_oracle(r) == naive_count(r)
+    assert count_oracle(r) == enumerated_count(r)
+
+
+def test_oracle_equals_per_cell_reference_on_hexagon_sweep():
+    checked = 0
+    for a in range(1, 6):
+        for b in range(1, 5):
+            for k in range(4):
+                p = HexParams(a, b, k)
+                for ws in window_placements(p, 2):
+                    whole, _, _, _ = windowed_hexagon(p, ws)
+                    cut = symmetry_axis_cut(whole)
+                    for r in (whole, cut.plus, cut.minus):
+                        assert count_oracle(r) == reference_oracle(r), (p, ws)
+                    checked += 1
+    assert checked == 472
+
+
+def test_oracle_equals_per_cell_reference_on_zigzag_members():
+    checked = 0
+    for l, q in index_list_pairs(3, 2):
+        if not l and not q:
+            continue
+        for barred in (False, True):
+            lo = min_x(l, q, barred)
+            for x in range(lo, lo + 3):
+                r = (r_bar_region if barred else r_region)(l, q, x)
+                assert count_oracle(r) == reference_oracle(r), (barred, l, q, x)
+                checked += 1
+    assert checked == 2 * 3 * (7 * 7 - 1)
+
+
+def components(r: Region) -> int:
+    seen, count = set(), 0
+    for start in r.cells:
+        if start in seen:
+            continue
+        count += 1
+        todo = [start]
+        seen.add(start)
+        while todo:
+            for mate in partners(todo.pop()):
+                if mate in r.cells and mate not in seen:
+                    seen.add(mate)
+                    todo.append(mate)
+    return count
+
+
+UNIT = hexagon(HexParams(1, 1, 0))
+# the 2,2,2 hexagon with the lozenge (1, -1)-(1, 0) cut out of its middle
+HOLED = Region(hexagon(HexParams(2, 2, 0)).cells - {(1, -1), (1, 0)})
+TWO_PIECES = region(UNIT.cells | UNIT.translate(0, 8).cells, [((0, 7), (0, 8)), ((0, 0), (0, 1))])
+
+
+def test_property_examples_have_the_shapes_they_stand_for():
+    for r in (UNIT, HOLED, TWO_PIECES):
+        # an up cell that ends its row, a down cell that starts its row
+        assert any(is_up(c) and (c[0], c[1] + 1) not in r.cells for c in r.cells)
+        assert any(not is_up(c) and (c[0], c[1] - 1) not in r.cells for c in r.cells)
+    assert all(m in HOLED.cells or m in {(1, -1), (1, 0)} for c in [(1, -1), (1, 0)] for m in partners(c))
+    assert components(TWO_PIECES) == 2 and TWO_PIECES.half
+    assert count_oracle(HOLED) > 0 and count_oracle(TWO_PIECES) > 0
+
+
+@st.composite
+def holey_subregions(draw) -> Region:
+    """A small hexagon with random cells removed, rebalanced by removing
+    more cells of the surplus orientation, with random half weights."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    cells = sorted(hexagon(HexParams(a, b, draw(st.integers(0 if b else 1, 2)))).cells)
+    gone = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3))
+    kept = [c for c in cells if c not in gone]
+    surplus = balance(Region(frozenset(kept)))
+    if surplus:
+        extra = [c for c in kept if is_up(c) == (surplus > 0)]
+        gone |= set(draw(st.lists(st.sampled_from(extra), min_size=abs(surplus),
+                                  max_size=abs(surplus), unique=True)))
+    cells = frozenset(c for c in cells if c not in gone)
+    positions = sorted(lozenge(c, m) for c in cells for m in partners(c) if m in cells and c < m)
+    half = draw(st.sets(st.sampled_from(positions))) if positions else set()
+    return Region(cells, frozenset(half))
+
+
+@settings(max_examples=150, deadline=None)
+@given(holey_subregions())
+@example(UNIT)
+@example(HOLED)
+@example(TWO_PIECES)
+def test_oracle_agrees_with_weighted_enumeration_on_random_subregions(r):
+    assert count_oracle(r) == enumerated_count(r)
 
 
 def test_tilings_partition_the_region():

@@ -166,6 +166,12 @@ def test_windowed_hexagon_rejects_bad_bookkeeping():
         windowed_hexagon(HexParams(3, 3, 2), [WindowSpec("DELTA", 2, 2)])
 
 
+def test_windowed_hexagon_rejects_an_untileable_region(monkeypatch):
+    monkeypatch.setattr("lozenge.regions.eliminate_forced", lambda r: (r, 1, True))
+    with pytest.raises(ValueError, match="no tilings"):
+        windowed_hexagon(HexParams(3, 3, 2), [WindowSpec("DELTA", 2, 3)])
+
+
 def test_window_apex_on_hull_is_absorbed():
     # a window whose apex touches the top side freezes the flanking strips;
     # the leftover is a plain hexagon with a longer top side

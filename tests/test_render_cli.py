@@ -121,6 +121,13 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_untileable_windowed_hexagon_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("lozenge.regions.eliminate_forced", lambda r: (r, 1, True))
+    assert main(["count", "--family", "H", "--a", "3", "--b", "3", "--k", "2",
+                 "--window", "D:2@3"]) == 2
+    assert "no tilings" in capsys.readouterr().err
+
+
 def test_cli_formula_values(capsys):
     assert main(["formula", "--which", "c", "--l", "1", "--q", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1/8"
