@@ -7,6 +7,17 @@ lengths, and linear factors indexed by the cells of the label partitions.
 This module evaluates all of it exactly, along with the classical boxed
 plane partition product and the binomial coefficients that drive the
 last-row recurrences of the determinant encoding.
+
+Each product formula is described once as an integer constant
+``(num, den)`` and a netted factor table ``{h: e}``: the product over the
+table of ``(y + h/2) ** e``, with ``h`` the doubled offset.  A factor
+``(2y + c)`` enters as ``2 * (y + c/2)``; the rising products
+``(y + i + 1/2)_m`` that divide the base polynomials enter with negative
+exponents and cancel against the factors of the numerator.  After netting
+no exponent of ``B`` or ``Bbar`` is negative, so they and ``P``/``Pbar``
+evaluate at every rational ``x``, half-integers included.  At ``y = p/d``
+every factor is the integer ``(2p + h*d) / (2d)``, so one evaluation
+multiplies Python ints and builds exactly one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
@@ -18,9 +29,18 @@ from fractions import Fraction
 from .exact import binomial, shifted_factorial
 from .regions import IndexList, check_index_list
 
+FactorTable = dict[int, int]  # doubled offset h -> exponent of (y + h/2)
 
-def _tent_product(base: Fraction, count: int) -> Fraction:
-    """Product of ``count`` factors with bases rising by 1 from ``base`` and
+
+def _rise(table: FactorTable, h: int, count: int, step: int = 2, e: int = 1) -> None:
+    """Add ``e`` to the exponents of ``count`` factors from ``(y + h/2)``,
+    the doubled offset rising by ``step`` (2 for a rising product in y)."""
+    for g in range(h, h + step * count, step):
+        table[g] = table.get(g, 0) + e
+
+
+def _tent(table: FactorTable, h: int, count: int) -> None:
+    """``count`` factors from ``(y + h/2)``, offsets rising by 1, with
     tent-shaped exponents 1, 2, ..., rising to the middle and falling back
     to 1 (so 1,2,2,1 for four factors, 1,2,3,2,1 for five).
 
@@ -28,85 +48,143 @@ def _tent_product(base: Fraction, count: int) -> Fraction:
     staircase regions; the flat reading 1,2,...,2,1 first diverges at five
     factors and fails those counts.
     """
-    out = Fraction(1)
     for j in range(1, count + 1):
-        out *= (base + j - 1) ** min(j, count + 1 - j)
-    return out
+        g = h + 2 * (j - 1)
+        table[g] = table.get(g, 0) + min(j, count + 1 - j)
 
 
 def _tent_degree(count: int) -> int:
     return (count + 1) ** 2 // 4 if count > 0 else 0
 
 
+# In both base polynomials the prefactor 2**-(...) cancels the 2 taken out
+# of each (2y + c) factor, which is why they are monic with constant 1.
+
+
+def _b_table(m: int, n: int) -> FactorTable:
+    t: FactorTable = {}
+    _rise(t, 2 * n + 2, m)  # (y + n + 1)_m
+    _rise(t, 2 * n + 4, m)  # (y + n + 2)_m
+    _tent(t, 4, n - 1)  # tent from y + 2
+    _tent(t, 3, n)  # tent from y + 3/2
+    for i in range(1, n + 1):
+        _rise(t, 2 * i, m)  # (y + i)_m
+        _rise(t, 2 * i + 1, m, e=-1)  # / (y + i + 1/2)_m
+    for i in range(1, m + 1):
+        _rise(t, n + i + 2, n + i - 1, step=1)  # (2y + n + i + 2)_{n+i-1}
+    return t
+
+
+def _bar_b_table(m: int, n: int) -> FactorTable:
+    t: FactorTable = {}
+    _rise(t, 2 * m + 2, n)  # (y + m + 1)_n
+    _tent(t, 2, m)  # tent from y + 1
+    _tent(t, 3, m - 1)  # tent from y + 3/2
+    for i in range(1, m + 1):
+        _rise(t, 2 * i, n)  # (y + i)_n
+        _rise(t, 2 * i + 1, n, e=-1)  # / (y + i + 1/2)_n
+    for i in range(1, n + 1):
+        _rise(t, m + i + 1, m + i, step=1)  # (2y + m + i + 1)_{m+i}
+    return t
+
+
+def _p_table(l: IndexList, q: IndexList, barred: bool) -> FactorTable:
+    """The base table of the list lengths times the linear factors of the
+    labels, in ``y = x + l_m - m``.
+
+    Plain family: (y + m - j)(y + n + j + 2) for i <= j < l_i and
+    (y + n - j + 1)(y + m + j + 1) for i <= j < q_i.  The shifted family
+    has (y + n + j + 1) and (y + n - j) in place of the second and third.
+    """
+    m, n = len(l), len(q)
+    t = _bar_b_table(m, n) if barred else _b_table(m, n)
+    s = 1 if barred else 2
+    for i, li in enumerate(l, start=1):
+        _rise(t, 2 * (m - li + 1), li - i)
+        _rise(t, 2 * (n + i + s), li - i)
+    for i, qi in enumerate(q, start=1):
+        _rise(t, 2 * (n - qi + s), qi - i)
+        _rise(t, 2 * (m + i + 1), qi - i)
+    return t
+
+
+def _evaluate(const: tuple[int, int], table: FactorTable, x: Fraction | int, shift: int = 0) -> Fraction:
+    """``num/den * prod (y + h/2) ** e`` at ``y = x + shift``.
+
+    A genuine pole (a negative exponent whose factor vanishes) raises
+    ``ZeroDivisionError``; none of the tables here has one.
+    """
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    d = x.denominator
+    two_p = 2 * (x.numerator + shift * d)
+    num, den = const
+    degree = 0
+    for h, e in table.items():
+        if e > 0:
+            num *= (two_p + h * d) ** e
+        elif e < 0:
+            den *= (two_p + h * d) ** -e
+        degree += e
+    if degree >= 0:
+        den *= (2 * d) ** degree
+    else:
+        num *= (2 * d) ** -degree
+    return Fraction(num, den)
+
+
 def b_poly(m: int, n: int, x: Fraction | int) -> Fraction:
     """The monic base polynomial attached to staircase labels (plain family)."""
     if m < 0 or n < 0:
         raise ValueError("list lengths must be nonnegative")
-    x = Fraction(x)
-    val = Fraction(1, 2 ** (m * n + m * (m - 1) // 2))
-    val *= shifted_factorial(x + n + 1, m) * shifted_factorial(x + n + 2, m)
-    val *= _tent_product(x + 2, n - 1)
-    val *= _tent_product(x + Fraction(3, 2), n)
-    for i in range(1, n + 1):
-        val *= shifted_factorial(x + i, m) / shifted_factorial(x + i + Fraction(1, 2), m)
-    for i in range(1, m + 1):
-        val *= shifted_factorial(2 * x + n + i + 2, n + i - 1)
-    return val
+    return _evaluate((1, 1), _b_table(m, n), x)
 
 
 def bar_b_poly(m: int, n: int, x: Fraction | int) -> Fraction:
     """The monic base polynomial attached to staircase labels (shifted family)."""
     if m < 0 or n < 0:
         raise ValueError("list lengths must be nonnegative")
-    x = Fraction(x)
-    val = Fraction(1, 2 ** (m * n + n * (n + 1) // 2))
-    val *= shifted_factorial(x + m + 1, n)
-    val *= _tent_product(x + 1, m)
-    val *= _tent_product(x + Fraction(3, 2), m - 1)
-    for i in range(1, m + 1):
-        val *= shifted_factorial(x + i, n) / shifted_factorial(x + i + Fraction(1, 2), n)
-    for i in range(1, n + 1):
-        val *= shifted_factorial(2 * x + m + i + 1, m + i)
-    return val
+    return _evaluate((1, 1), _bar_b_table(m, n), x)
 
 
 def _choose2(z: int) -> int:
     return z * (z - 1) // 2
 
 
-def _const(l: IndexList, q: IndexList, l_shift: int, q_shift: int) -> Fraction:
-    """Common shape of the two normalizing constants.
+def _const(l: IndexList, q: IndexList, barred: bool) -> tuple[int, int]:
+    """Common shape of the two normalizing constants, as ``(num, den)``.
 
-    ``l_shift``/``q_shift`` select which factorials appear: (2 l_i)! and
-    (2 q_i - 1)! for the plain family, (2 l_i - 1)! and (2 q_i)! for the
-    shifted one.
+    The factorials are (2 l_i)! and (2 q_i - 1)! for the plain family,
+    (2 l_i - 1)! and (2 q_i)! for the shifted one.
     """
-    l = check_index_list(l, "l")
-    q = check_index_list(q, "q")
     m, n = len(l), len(q)
-    val = Fraction(2) ** (_choose2(n - m) - m)
+    l_shift, q_shift = (1, 0) if barred else (0, 1)
+    num, den = 1, 1
+    power = _choose2(n - m) - m
+    if power >= 0:
+        num <<= power
+    else:
+        den <<= -power
     for v in l:
-        val /= math.factorial(2 * v - l_shift)
+        den *= math.factorial(2 * v - l_shift)
     for v in q:
-        val /= math.factorial(2 * v - q_shift)
-    for i in range(m):
-        for j in range(i + 1, m):
-            val *= l[j] - l[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            val *= q[j] - q[i]
+        den *= math.factorial(2 * v - q_shift)
+    for lst in (l, q):
+        for i, v in enumerate(lst):
+            for w in lst[i + 1 :]:
+                num *= w - v
     for li in l:
         for qj in q:
-            val /= li + qj
-    return val
+            den *= li + qj
+    return num, den
 
 
 def c_const(l, q) -> Fraction:
-    return _const(tuple(l), tuple(q), 0, 1)
+    return Fraction(*_const(check_index_list(l, "l"), check_index_list(q, "q"), False))
 
 
 def bar_c_const(l, q) -> Fraction:
-    return _const(tuple(l), tuple(q), 1, 0)
+    return Fraction(*_const(check_index_list(l, "l"), check_index_list(q, "q"), True))
 
 
 @dataclass(frozen=True)
@@ -149,38 +227,21 @@ def _h_multiset(lst: IndexList) -> list[int]:
     return [h for i, v in enumerate(lst, start=1) for h in range(i + 1, v + 1)]
 
 
-def p_poly(l, q, x: Fraction | int) -> Fraction:
-    """Tiling polynomial of the plain zigzag family, in product form."""
+def _p_poly(l, q, x: Fraction | int, barred: bool) -> Fraction:
     l = check_index_list(l, "l")
     q = check_index_list(q, "q")
-    m, n = len(l), len(q)
     lm = l[-1] if l else 0
-    x = Fraction(x)
-    val = c_const(l, q) * b_poly(m, n, x + lm - m)
-    for i, li in enumerate(l, start=1):
-        for j in range(i, li):
-            val *= (x + lm - j) * (x + lm - m + n + j + 2)
-    for i, qi in enumerate(q, start=1):
-        for j in range(i, qi):
-            val *= (x + lm - m + n - j + 1) * (x + lm + j + 1)
-    return val
+    return _evaluate(_const(l, q, barred), _p_table(l, q, barred), x, lm - len(l))
+
+
+def p_poly(l, q, x: Fraction | int) -> Fraction:
+    """Tiling polynomial of the plain zigzag family, in product form."""
+    return _p_poly(l, q, x, False)
 
 
 def bar_p_poly(l, q, x: Fraction | int) -> Fraction:
     """Tiling polynomial of the shifted zigzag family, in product form."""
-    l = check_index_list(l, "l")
-    q = check_index_list(q, "q")
-    m, n = len(l), len(q)
-    lm = l[-1] if l else 0
-    x = Fraction(x)
-    val = bar_c_const(l, q) * bar_b_poly(m, n, x + lm - m)
-    for i, li in enumerate(l, start=1):
-        for j in range(i, li):
-            val *= (x + lm - j) * (x + lm - m + n + j + 1)
-    for i, qi in enumerate(q, start=1):
-        for j in range(i, qi):
-            val *= (x + lm - m + n - j) * (x + lm + j + 1)
-    return val
+    return _p_poly(l, q, x, True)
 
 
 def p_poly_shifted_form(l, q, x: Fraction | int, barred: bool = False) -> Fraction:
@@ -195,14 +256,14 @@ def p_poly_shifted_form(l, q, x: Fraction | int, barred: bool = False) -> Fracti
     m, n = len(l), len(q)
     lam1 = (l[-1] - m) if l else 0
     y = Fraction(x) + lam1
+    base = _bar_b_table(m, n) if barred else _b_table(m, n)
+    val = _evaluate(_const(l, q, barred), base, y)
     if barred:
-        val = bar_c_const(l, q) * bar_b_poly(m, n, y)
         for h in _h_multiset(l):
             val *= (y - h + m + 1) * (y + h + n)
         for h in _h_multiset(q):
             val *= (y - h + n + 1) * (y + h + m)
     else:
-        val = c_const(l, q) * b_poly(m, n, y)
         for h in _h_multiset(l):
             val *= (y - h + m + 1) * (y + h + n + 1)
         for h in _h_multiset(q):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,187 @@ from lozenge.regions import HexParams, hexagon, min_x, r_bar_region, r_region
 from lozenge.verify import index_list_pairs
 
 HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# reference evaluators: the product formulas multiplied out one normalised
+# Fraction per linear factor, as the formulas were first written
+
+
+def _reference_tent(base, count):
+    out = Fraction(1)
+    for j in range(1, count + 1):
+        out *= (base + j - 1) ** min(j, count + 1 - j)
+    return out
+
+
+def reference_b_poly(m, n, x):
+    x = Fraction(x)
+    val = Fraction(1, 2 ** (m * n + m * (m - 1) // 2))
+    val *= sf(x + n + 1, m) * sf(x + n + 2, m)
+    val *= _reference_tent(x + 2, n - 1)
+    val *= _reference_tent(x + Fraction(3, 2), n)
+    for i in range(1, n + 1):
+        val *= sf(x + i, m) / sf(x + i + HALF, m)
+    for i in range(1, m + 1):
+        val *= sf(2 * x + n + i + 2, n + i - 1)
+    return val
+
+
+def reference_bar_b_poly(m, n, x):
+    x = Fraction(x)
+    val = Fraction(1, 2 ** (m * n + n * (n + 1) // 2))
+    val *= sf(x + m + 1, n)
+    val *= _reference_tent(x + 1, m)
+    val *= _reference_tent(x + Fraction(3, 2), m - 1)
+    for i in range(1, m + 1):
+        val *= sf(x + i, n) / sf(x + i + HALF, n)
+    for i in range(1, n + 1):
+        val *= sf(2 * x + m + i + 1, m + i)
+    return val
+
+
+def reference_const(l, q, l_shift, q_shift):
+    m, n = len(l), len(q)
+    val = Fraction(2) ** ((n - m) * (n - m - 1) // 2 - m)
+    for v in l:
+        val /= math.factorial(2 * v - l_shift)
+    for v in q:
+        val /= math.factorial(2 * v - q_shift)
+    for lst in (l, q):
+        for i in range(len(lst)):
+            for j in range(i + 1, len(lst)):
+                val *= lst[j] - lst[i]
+    for li in l:
+        for qj in q:
+            val /= li + qj
+    return val
+
+
+def reference_p_poly(l, q, x):
+    m, n = len(l), len(q)
+    lm = l[-1] if l else 0
+    x = Fraction(x)
+    val = reference_const(l, q, 0, 1) * reference_b_poly(m, n, x + lm - m)
+    for i, li in enumerate(l, start=1):
+        for j in range(i, li):
+            val *= (x + lm - j) * (x + lm - m + n + j + 2)
+    for i, qi in enumerate(q, start=1):
+        for j in range(i, qi):
+            val *= (x + lm - m + n - j + 1) * (x + lm + j + 1)
+    return val
+
+
+def reference_bar_p_poly(l, q, x):
+    m, n = len(l), len(q)
+    lm = l[-1] if l else 0
+    x = Fraction(x)
+    val = reference_const(l, q, 1, 0) * reference_bar_b_poly(m, n, x + lm - m)
+    for i, li in enumerate(l, start=1):
+        for j in range(i, li):
+            val *= (x + lm - j) * (x + lm - m + n + j + 1)
+    for i, qi in enumerate(q, start=1):
+        for j in range(i, qi):
+            val *= (x + lm - m + n - j) * (x + lm + j + 1)
+    return val
+
+
+# integer, negative, third and quarter points
+REFERENCE_POINTS = [Fraction(v) for v in ("-3", "2", "-7/3", "9/4")]
+
+
+def _agree_where_reference_is_defined(fast, reference, args, points=REFERENCE_POINTS):
+    checked = 0
+    for x in points:
+        try:
+            want = reference(*args, x)
+        except ZeroDivisionError:
+            continue
+        assert fast(*args, x) == want, (fast.__name__, args, x)
+        checked += 1
+    return checked
+
+
+def test_polynomials_equal_the_reference_evaluators():
+    checked = 0
+    for l, q in index_list_pairs(5, 3):
+        checked += _agree_where_reference_is_defined(p_poly, reference_p_poly, (l, q))
+        checked += _agree_where_reference_is_defined(bar_p_poly, reference_bar_p_poly, (l, q))
+        assert c_const(l, q) == reference_const(l, q, 0, 1)
+        assert bar_c_const(l, q) == reference_const(l, q, 1, 0)
+    assert checked == 2 * 676 * len(REFERENCE_POINTS)
+
+
+def test_base_polynomials_equal_the_reference_evaluators():
+    points = REFERENCE_POINTS + [Fraction(v) for v in ("0", "5", "4/3", "-5/4")]
+    points += [Fraction(k, 2) for k in range(-9, 10, 2)]
+    for m in range(7):
+        for n in range(7):
+            _agree_where_reference_is_defined(b_poly, reference_b_poly, (m, n), points)
+            _agree_where_reference_is_defined(bar_b_poly, reference_bar_b_poly, (m, n), points)
+
+
+def _staircase(t):
+    return tuple(range(1, t + 1))
+
+
+def test_factor_tables_are_polynomials_of_the_stated_degree():
+    from lozenge.formulas import _b_table, _bar_b_table, _p_table
+
+    for barred, table in ((False, _b_table), (True, _bar_b_table)):
+        for m in range(11):
+            for n in range(11):
+                t = table(m, n)
+                assert min(t.values(), default=0) >= 0, (barred, m, n)
+                assert sum(t.values()) == p_poly_degree(_staircase(m), _staircase(n), barred)
+    for l, q in index_list_pairs(5, 3):
+        for barred in (False, True):
+            t = _p_table(l, q, barred)
+            assert min(t.values(), default=0) >= 0, (l, q, barred)
+            assert sum(t.values()) == p_poly_degree(l, q, barred)
+
+
+def _lagrange_eval(xs, ys, x):
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = Fraction(yi)
+        for j, xj in enumerate(xs):
+            if i != j:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+def test_removable_poles_evaluate_to_the_interpolated_polynomial():
+    # (y + i + 1/2)_m divides the base polynomials but cancels against the
+    # numerator, so negative half-integers are ordinary points
+    half_points = [Fraction(k, 2) for k in range(-11, 0, 2)]
+    poles = 0
+    cases = [(b_poly, reference_b_poly, False, m, n) for m in range(4) for n in range(4)]
+    cases += [(bar_b_poly, reference_bar_b_poly, True, m, n) for m in range(4) for n in range(4)]
+    for fast, reference, barred, m, n in cases:
+        xs = list(range(p_poly_degree(_staircase(m), _staircase(n), barred) + 1))
+        ys = [fast(m, n, x) for x in xs]
+        for x in half_points:
+            try:
+                reference(m, n, x)
+            except ZeroDivisionError:
+                poles += 1
+            assert fast(m, n, x) == _lagrange_eval(xs, ys, x), (fast.__name__, m, n, x)
+    for l, q in [((1, 3), (2,)), ((2,), (1, 2)), ((1, 2, 4), (3,))]:
+        for fast, reference, barred in (
+            (p_poly, reference_p_poly, False),
+            (bar_p_poly, reference_bar_p_poly, True),
+        ):
+            xs = list(range(p_poly_degree(l, q, barred) + 1))
+            ys = [fast(l, q, x) for x in xs]
+            for x in half_points:
+                try:
+                    reference(l, q, x)
+                except ZeroDivisionError:
+                    poles += 1
+                assert fast(l, q, x) == _lagrange_eval(xs, ys, x), (fast.__name__, l, q, x)
+    assert poles > 0  # the reference evaluators do divide by zero at some of these points
 
 
 def test_base_polynomials_hand_values():
@@ -131,23 +313,13 @@ def test_shifted_form_agrees_with_product_form():
 def test_polynomial_degree_and_interpolation():
     # reconstruct by interpolation on degree+1 integer points, then the
     # reconstruction matches everywhere else
-    def lagrange_eval(xs, ys, x):
-        total = Fraction(0)
-        for i, (xi, yi) in enumerate(zip(xs, ys)):
-            term = Fraction(yi)
-            for j, xj in enumerate(xs):
-                if i != j:
-                    term *= Fraction(x - xj, xi - xj)
-            total += term
-        return total
-
     for l, q, barred in [((2, 4), (1,), False), ((1, 3), (2, 4), True), ((), (3,), False)]:
         poly = bar_p_poly if barred else p_poly
         d = p_poly_degree(l, q, barred=barred)
         xs = list(range(d + 1))
         ys = [poly(l, q, x) for x in xs]
         for probe in (Fraction(101), Fraction(-17, 3), Fraction(55, 2)):
-            assert poly(l, q, probe) == lagrange_eval(xs, ys, probe)
+            assert poly(l, q, probe) == _lagrange_eval(xs, ys, probe)
 
 
 def test_macmahon_values():

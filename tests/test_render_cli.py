@@ -137,6 +137,18 @@ def test_cli_formula_values(capsys):
     assert capsys.readouterr().out.strip() == "1/2"
 
 
+def test_cli_formula_at_a_removable_pole(capsys):
+    # B(1, 1) = (x+1)(x+2)^2(x+3) has no pole; its product form divides by x + 3/2
+    assert main(["formula", "--which", "B", "--m", "1", "--n", "1", "--x=-3/2"]) == 0
+    assert capsys.readouterr().out.strip() == "-3/16"
+
+
+def test_cli_verify_all_matches_golden_output(capsys):
+    assert main(["verify", "--target", "all", "--max-entry", "3", "--seed", "1"]) == 0
+    want = (GOLDEN / "verify_all_e3_s1.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
 def test_cli_render_formats(capsys, tmp_path):
     assert main(["render", "--family", "H", "--a", "1", "--b", "1", "--k", "0"]) == 0
     out = capsys.readouterr().out
