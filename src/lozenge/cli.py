@@ -229,7 +229,7 @@ def cmd_verify(args) -> int:
         run(
             V.sweep_hexagons(
                 max_a=args.max_a, max_b=args.max_b, max_k=args.max_k,
-                product=do_t, factorization=do_f, pieces=do_f,
+                product=do_t, factorization=do_f,
             )
         )
     mismatches = sum(1 for rep in reports if not rep.match)

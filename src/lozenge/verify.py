@@ -4,14 +4,22 @@ Each verifier computes both sides of one identity with exact arithmetic
 and returns a :class:`CountReport`; sweep helpers enumerate the instances
 the identities quantify over.  Nothing here tolerates error: match means
 equal as rationals.
+
+The one-bump recurrences and frozen-edge reductions live only in the tables
+:func:`recurrence_terms` and :func:`frozen_edges` (coefficients and child
+members, never a value); the count check folds them with oracle counts, the
+polynomial check with polynomial values, :func:`instance_children` with
+the children alone.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product as cartesian
 
 from .count import NORTHWEST, SOUTHWEST, count_gv, count_oracle
 from .exact import format_rational
@@ -46,9 +54,13 @@ __all__ = [
     "CountReport",
     "check_reachability",
     "expected_cut_pieces",
+    "frozen_edges",
     "hexagon_formula",
+    "hexagon_placements",
     "instance_children",
     "index_list_pairs",
+    "nonempty_pairs",
+    "recurrence_terms",
     "sweep_boundary_reductions",
     "sweep_count_recurrences",
     "sweep_hexagons",
@@ -83,6 +95,16 @@ class CountReport:
         self.elapsed = time.perf_counter() - started
         return self
 
+    def close_pairs(self, started: float) -> "CountReport":
+        """Close a report of ``*.lhs``/``*.rhs`` pairs: match means every pair is equal."""
+        self.elapsed = time.perf_counter() - started
+        self.match = all(
+            v == self.values[k.replace(".lhs", ".rhs")]
+            for k, v in self.values.items()
+            if k.endswith(".lhs")
+        )
+        return self
+
     def line(self) -> str:
         parts = [f"RESULT {self.instance}"]
         parts += [f"{k}={format_rational(v)}" for k, v in self.values.items()]
@@ -110,31 +132,32 @@ def family_poly(family: str, l, q, x) -> Fraction:
     return (p_poly if family == "R" else bar_p_poly)(l, q, x)
 
 
+def family_count(family: str, l, q, x: int) -> Fraction:
+    return count_oracle(build_region(family, l, q, x))
+
+
 # ---------------------------------------------------------------------------
 # tiling polynomial = tiling count, for the two zigzag families
 
 
-def verify_region_formula(l, q, x: int, sides=(SOUTHWEST, NORTHWEST)) -> CountReport:
+def verify_region_formula(l, q, x: int) -> CountReport:
     """Oracle count, determinant count (both encodings), and polynomial value
     must agree, for whichever of the two families admit this x."""
     started = time.perf_counter()
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
     rep = CountReport(region_instance("RRbar", l, q, x))
-    ran = False
     ok = True
     for family in ("R", "Rbar"):
-        barred = family == "Rbar"
-        if (l or q) and x < min_x(l, q, barred):
+        if (l or q) and x < min_x(l, q, family == "Rbar"):
             continue
-        ran = True
         region = build_region(family, l, q, x)
         rep.values[f"{family}.oracle"] = count_oracle(region)
-        for side in sides:
+        for side in (SOUTHWEST, NORTHWEST):
             rep.values[f"{family}.gv.{side[:2]}"] = count_gv(region, l, q, x, family, side)
         rep.values[f"{family}.poly"] = family_poly(family, l, q, x)
         vals = [v for key, v in rep.values.items() if key.startswith(family)]
         ok = ok and all(v == vals[0] for v in vals)
-    if not ran:
+    if not rep.values:
         raise ValueError(f"x={x} is admissible for neither family at l={l}, q={q}")
     rep.elapsed = time.perf_counter() - started
     rep.match = ok  # the two families legitimately carry different values
@@ -186,34 +209,30 @@ def hexagon_instance(p: HexParams, windows: list[WindowSpec]) -> str:
 
 
 def _hexagon_sides(p: HexParams, windows: list[WindowSpec]):
-    """The canonical windowed region, its family, its cut width, and the
-    product of the two piece polynomials selected by the family and the
-    parity of a."""
+    """The canonical windowed region, its family, its axis cut, and the two
+    family members (family, l, q, x) that the family and the parity of a
+    select for the cut pieces."""
     cp, cws = canonical_hexagon(p, windows)
     region, family, l, q = windowed_hexagon(cp, cws)
-    plus, minus = expected_cut_pieces(family, l, q, cp.a, cp.k)
-    width = symmetry_axis_cut(region).width
-    return region, family, width, family_poly(*plus) * family_poly(*minus)
+    pieces = expected_cut_pieces(family, l, q, cp.a, cp.k)
+    return region, family, symmetry_axis_cut(region), pieces
 
 
 def hexagon_formula(p: HexParams, windows: list[WindowSpec]) -> Fraction:
     """The weighted count of a windowed hexagon by the product formula,
     2**width * P(plus) * P(minus); no tiling is counted."""
-    _, _, width, product = _hexagon_sides(p, windows)
-    return 2**width * product
+    _, _, cut, (plus, minus) = _hexagon_sides(p, windows)
+    return 2**cut.width * family_poly(*plus) * family_poly(*minus)
 
 
-def verify_hexagon_formula(
-    p: HexParams, windows: list[WindowSpec], oracle_value: Fraction | None = None
-) -> CountReport:
+def verify_hexagon_formula(p: HexParams, windows: list[WindowSpec]) -> CountReport:
     """The weighted hexagon count, scaled by 2**-width, equals the product of
     the two piece polynomials selected by the family and the parity of a."""
     started = time.perf_counter()
-    region, family, width, product = _hexagon_sides(p, windows)
+    region, family, cut, (plus, minus) = _hexagon_sides(p, windows)
     rep = CountReport(hexagon_instance(p, windows) + f":{family}")
-    m_val = count_oracle(region) if oracle_value is None else oracle_value
-    rep.values["lhs"] = m_val / 2**width
-    rep.values["rhs"] = product
+    rep.values["lhs"] = count_oracle(region) / 2**cut.width
+    rep.values["rhs"] = family_poly(*plus) * family_poly(*minus)
     return rep.close(started)
 
 
@@ -235,21 +254,17 @@ def verify_cut_pieces(p: HexParams, windows: list[WindowSpec]) -> CountReport:
     predicted family members (the right piece up to a half turn), and carry
     the same counts."""
     started = time.perf_counter()
-    cp, cws = canonical_hexagon(p, windows)
-    region, family, l, q = windowed_hexagon(cp, cws)
-    cut = symmetry_axis_cut(region)
-    plus, minus = expected_cut_pieces(family, l, q, cp.a, cp.k)
+    _, family, cut, pieces = _hexagon_sides(p, windows)
     rep = CountReport(hexagon_instance(p, windows) + f":{family}:pieces")
     ok = True
-    for side_name, got, want in (("plus", cut.plus, plus), ("minus", cut.minus, minus)):
-        expect = build_region(want[0], want[1], want[2], want[3])
+    for side_name, got, want in zip(("plus", "minus"), (cut.plus, cut.minus), pieces):
         got_core, got_f, got_dead = eliminate_forced(got)
-        want_core, want_f, want_dead = eliminate_forced(expect)
+        want_core, want_f, want_dead = eliminate_forced(build_region(*want))
         if got_dead or want_dead or not congruent(got_core, want_core) or got_f != want_f:
             ok = False
         # the piece count must also equal the predicted member's polynomial
         count = count_oracle(got)
-        predicted = family_poly(want[0], want[1], want[2], want[3])
+        predicted = family_poly(*want)
         rep.values[f"{side_name}.count"] = count
         rep.values[f"{side_name}.poly"] = predicted
         ok = ok and count == predicted
@@ -259,11 +274,57 @@ def verify_cut_pieces(p: HexParams, windows: list[WindowSpec]) -> CountReport:
 
 
 # ---------------------------------------------------------------------------
-# count recurrences (eliminating one bump at a time)
+# the one-bump recurrences and frozen-edge reductions, as tables
 
 
-def _lm1(l: IndexList) -> int:
-    return l[-2] if len(l) >= 2 else 0
+def _drop_top_lower(family: str, l: IndexList, q: IndexList, x: int):
+    """The member left when the top lower bump goes; the base grows by its gap."""
+    return (family, l[:-1], q, x + l[-1] - (l[-2] if len(l) >= 2 else 0) - 1)
+
+
+def recurrence_terms(family: str, l: IndexList, q: IndexList, x) -> list:
+    """The last-row expansion of (family, l, q, x), for x above its least
+    value, as ``[(coeff, child)]`` with the member = sum of coeff * child.
+    It drops upper bumps when q is longer (for R also at equal length) and
+    lower bumps otherwise; at equal length the other family adds a term."""
+    m, n = len(l), len(q)
+    barred = family == "Rbar"
+    if m < n or (m == n and not barred):
+        coeff = coeff_barC if barred else coeff_C
+        terms = [
+            ((-1) ** (n - k) * coeff(k, l, q, x), (family, l, omit(q, k), x))
+            for k in range(1, n + 1)
+        ]
+    else:
+        coeff = coeff_barD if barred else coeff_D
+        terms = [
+            ((-1) ** (m - k) * coeff(k, l, q, x), (family, omit(l, k), q, x - 1))
+            for k in range(1, m)
+        ]
+        terms.append((coeff(m, l, q, x), _drop_top_lower(family, l, q, x)))
+    if m == n:
+        terms.append(((-1) ** n, ("R", l, q, x - 1) if barred else ("Rbar", l, q, x)))
+    return terms
+
+
+def frozen_edges(family: str, l: IndexList, q: IndexList) -> list:
+    """The frozen-edge reductions as ``[(name, x, coeff, child)]``, member =
+    coeff * child at that x: "base" (x = 0) drops the top lower bump, "top"
+    the top upper bump, whose frozen run ends in a half-weighted position.
+    Each holds for the polynomials; for the counts where x = min_x (an edge
+    never lies above min_x)."""
+    m, n = len(l), len(q)
+    edges = []
+    if l:
+        edges.append(("base", 0, 1, _drop_top_lower(family, l, q, 0)))
+    if q:
+        x = q[-1] - (l[-1] if l else 0) - n + m - (1 if family == "R" else 0)
+        edges.append(("top", x, Fraction(1, 2), (family, l, q[:-1], x)))
+    return edges
+
+
+def _fold(terms, value) -> Fraction:
+    return sum((coeff * value(*child) for coeff, child in terms), Fraction(0))
 
 
 def verify_count_recurrences(l, q, x: int) -> CountReport:
@@ -271,54 +332,16 @@ def verify_count_recurrences(l, q, x: int) -> CountReport:
     term, for whichever of the two families apply at (l, q, x)."""
     started = time.perf_counter()
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
-    m, n = len(l), len(q)
     rep = CountReport(region_instance("recur", l, q, x))
     if not (l or q):
         raise ValueError("no recurrence applies to two empty lists")
-
-    def m_of(family: str, ll, qq, xx) -> Fraction:
-        return count_oracle(build_region(family, ll, qq, xx))
-
     if x <= min_x(l, q, barred=False):
         raise ValueError(f"x={x} is minimal for the plain family; recurrence needs x > min")
-    if m <= n:
-        lhs = m_of("R", l, q, x)
-        rhs = Fraction(0)
-        for k in range(1, n + 1):
-            rhs += (-1) ** (n - k) * coeff_C(k, l, q, x) * m_of("R", l, omit(q, k), x)
-        if m == n:
-            rhs += (-1) ** n * m_of("Rbar", l, q, x)
-        rep.values["R.lhs"], rep.values["R.rhs"] = lhs, rhs
-    else:
-        lhs = m_of("R", l, q, x)
-        rhs = Fraction(0)
-        for k in range(1, m):
-            rhs += (-1) ** (m - k) * coeff_D(k, l, q, x) * m_of("R", omit(l, k), q, x - 1)
-        rhs += coeff_D(m, l, q, x) * m_of("R", omit(l, m), q, x + l[-1] - _lm1(l) - 1)
-        rep.values["R.lhs"], rep.values["R.rhs"] = lhs, rhs
-
-    if x > min_x(l, q, barred=True):
-        if m < n:
-            lhs = m_of("Rbar", l, q, x)
-            rhs = Fraction(0)
-            for k in range(1, n + 1):
-                rhs += (-1) ** (n - k) * coeff_barC(k, l, q, x) * m_of("Rbar", l, omit(q, k), x)
-            rep.values["Rbar.lhs"], rep.values["Rbar.rhs"] = lhs, rhs
-        else:
-            lhs = m_of("Rbar", l, q, x)
-            rhs = Fraction(0)
-            for k in range(1, m):
-                rhs += (-1) ** (m - k) * coeff_barD(k, l, q, x) * m_of("Rbar", omit(l, k), q, x - 1)
-            rhs += coeff_barD(m, l, q, x) * m_of("Rbar", omit(l, m), q, x + l[-1] - _lm1(l) - 1)
-            if m == n:
-                rhs += (-1) ** m * m_of("R", l, q, x - 1)
-            rep.values["Rbar.lhs"], rep.values["Rbar.rhs"] = lhs, rhs
-
-    rep.close(started)
-    rep.match = rep.values["R.lhs"] == rep.values["R.rhs"] and rep.values.get(
-        "Rbar.lhs"
-    ) == rep.values.get("Rbar.rhs")
-    return rep
+    for family in ("R", "Rbar"):
+        if x > min_x(l, q, barred=family == "Rbar"):
+            rep.values[f"{family}.lhs"] = family_count(family, l, q, x)
+            rep.values[f"{family}.rhs"] = _fold(recurrence_terms(family, l, q, x), family_count)
+    return rep.close_pairs(started)
 
 
 def verify_boundary_reductions(l, q) -> CountReport:
@@ -327,132 +350,42 @@ def verify_boundary_reductions(l, q) -> CountReport:
     ends in a half-weighted position."""
     started = time.perf_counter()
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
-    m, n = len(l), len(q)
     rep = CountReport(region_instance("boundary", l, q, 0))
-    lm = l[-1] if l else 0
-    qn = q[-1] if q else 0
-    any_case = False
-
-    def m_of(family, ll, qq, xx):
-        return count_oracle(build_region(family, ll, qq, xx))
-
-    if l and lm - m + 1 >= qn - n:
-        any_case = True
-        rep.values["R.base.lhs"] = m_of("R", l, q, 0)
-        rep.values["R.base.rhs"] = m_of("R", omit(l, m), q, lm - _lm1(l) - 1)
-    if q and (not l or lm - m + 1 <= qn - n):
-        any_case = True
-        xx = qn - lm - n + m - 1
-        rep.values["R.top.lhs"] = m_of("R", l, q, xx)
-        rep.values["R.top.rhs"] = Fraction(1, 2) * m_of("R", l, omit(q, n), xx)
-    if l and lm - m >= qn - n:
-        any_case = True
-        rep.values["Rbar.base.lhs"] = m_of("Rbar", l, q, 0)
-        rep.values["Rbar.base.rhs"] = m_of("Rbar", omit(l, m), q, lm - _lm1(l) - 1)
-    if q and (not l or lm - m <= qn - n):
-        any_case = True
-        xx = qn - lm - n + m
-        rep.values["Rbar.top.lhs"] = m_of("Rbar", l, q, xx)
-        rep.values["Rbar.top.rhs"] = Fraction(1, 2) * m_of("Rbar", l, omit(q, n), xx)
-    if not any_case:
+    for family in ("R", "Rbar"):
+        lo = min_x(l, q, barred=family == "Rbar")
+        for name, x, coeff, child in frozen_edges(family, l, q):
+            if x == lo:
+                rep.values[f"{family}.{name}.lhs"] = family_count(family, l, q, x)
+                rep.values[f"{family}.{name}.rhs"] = coeff * family_count(*child)
+    if not rep.values:
         raise ValueError(f"no boundary reduction applies to l={l}, q={q}")
-    rep.close(started)
-    rep.match = all(
-        rep.values[k] == rep.values[k.replace(".lhs", ".rhs")]
-        for k in rep.values
-        if k.endswith(".lhs")
-    )
-    return rep
+    return rep.close_pairs(started)
 
 
 # ---------------------------------------------------------------------------
 # polynomial identities
 
 
-def _sample_points(l: IndexList, q: IndexList, count: int) -> list[int]:
-    x0 = (l[-1] if l else 0) + (q[-1] if q else 0) + len(l) + len(q) + 3
-    return list(range(x0, x0 + count))
-
-
 def verify_poly_recurrences(l, q) -> CountReport:
     """The tiling polynomials satisfy the same last-row recurrences as the
-    counts; checked at degree-bound+1 points, plus the four frozen-edge
-    specializations at their exact arguments."""
+    counts; checked at degree-bound+1 points, plus every frozen-edge
+    specialization at its exact argument."""
     started = time.perf_counter()
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
-    m, n = len(l), len(q)
     rep = CountReport(region_instance("poly", l, q, 0))
-    ok = True
     if not (l or q):
         raise ValueError("no polynomial recurrence applies to two empty lists")
 
     deg = max(p_poly_degree(l, q), p_poly_degree(l, q, barred=True)) + 1
-    points = _sample_points(l, q, deg + 1)
-
-    if m <= n:
-        for x in points:
-            lhs = p_poly(l, q, x)
-            rhs = sum(
-                ((-1) ** (n - k)) * coeff_C(k, l, q, x) * p_poly(l, omit(q, k), x)
-                for k in range(1, n + 1)
-            )
-            if m == n:
-                rhs += (-1) ** n * bar_p_poly(l, q, x)
-            if lhs != rhs:
-                ok = False
-        rep.values["R.checked"] = Fraction(len(points))
-    else:
-        for x in points:
-            lhs = p_poly(l, q, x)
-            rhs = sum(
-                ((-1) ** (m - k)) * coeff_D(k, l, q, x) * p_poly(omit(l, k), q, x - 1)
-                for k in range(1, m)
-            )
-            rhs += coeff_D(m, l, q, x) * p_poly(omit(l, m), q, x + l[-1] - _lm1(l) - 1)
-            if lhs != rhs:
-                ok = False
-        rep.values["R.checked"] = Fraction(len(points))
-
-    if m < n:
-        for x in points:
-            lhs = bar_p_poly(l, q, x)
-            rhs = sum(
-                ((-1) ** (n - k)) * coeff_barC(k, l, q, x) * bar_p_poly(l, omit(q, k), x)
-                for k in range(1, n + 1)
-            )
-            if lhs != rhs:
-                ok = False
-        rep.values["Rbar.checked"] = Fraction(len(points))
-    else:
-        for x in points:
-            lhs = bar_p_poly(l, q, x)
-            rhs = sum(
-                ((-1) ** (m - k)) * coeff_barD(k, l, q, x) * bar_p_poly(omit(l, k), q, x - 1)
-                for k in range(1, m)
-            )
-            rhs += coeff_barD(m, l, q, x) * bar_p_poly(omit(l, m), q, x + l[-1] - _lm1(l) - 1)
-            if m == n:
-                rhs += (-1) ** m * p_poly(l, q, x - 1)
-            if lhs != rhs:
-                ok = False
-        rep.values["Rbar.checked"] = Fraction(len(points))
-
-    # frozen-edge specializations at their exact arguments
-    lm = l[-1] if l else 0
-    qn = q[-1] if q else 0
-    if q:
-        xx = qn - lm - n + m - 1
-        if p_poly(l, q, xx) != Fraction(1, 2) * p_poly(l, omit(q, n), xx):
-            ok = False
-        xx = qn - lm - n + m
-        if bar_p_poly(l, q, xx) != Fraction(1, 2) * bar_p_poly(l, omit(q, n), xx):
-            ok = False
-    if l:
-        arg = lm - _lm1(l) - 1
-        if p_poly(l, q, 0) != p_poly(omit(l, m), q, arg):
-            ok = False
-        if bar_p_poly(l, q, 0) != bar_p_poly(omit(l, m), q, arg):
-            ok = False
+    x0 = (l[-1] if l else 0) + (q[-1] if q else 0) + len(l) + len(q) + 3
+    points = range(x0, x0 + deg + 1)
+    ok = True
+    for family in ("R", "Rbar"):
+        checks = [(x, recurrence_terms(family, l, q, x)) for x in points]
+        checks += [(x, [(coeff, child)]) for _, x, coeff, child in frozen_edges(family, l, q)]
+        for x, terms in checks:
+            ok = ok and family_poly(family, l, q, x) == _fold(terms, family_poly)
+        rep.values[f"{family}.checked"] = Fraction(len(points))
 
     rep.close(started)
     rep.match = ok
@@ -472,7 +405,6 @@ def verify_increment_relations(l, q, k: int, x: int, which: str = "l") -> CountR
     def f_val(ll, qq, xx) -> Fraction:
         return bar_p_poly(ll, qq, xx) / bar_c_const(ll, qq)
 
-    ok = True
     if which == "l":
         bumped = increment(l, k)
         if k < m:
@@ -481,36 +413,31 @@ def verify_increment_relations(l, q, k: int, x: int, which: str = "l") -> CountR
         else:
             lhs = f_val(bumped, q, x - 1)
             rhs = x * (x + 2 * lm - m + n + 1) * f_val(l, q, x)
-        rep.values["lhs"], rep.values["rhs"] = lhs, rhs
-        ok = lhs == rhs
     elif which == "q":
         bumped = increment(q, k)
         lhs = f_val(l, bumped, x)
         rhs = (x + q[k - 1] + lm + 1) * (x - q[k - 1] + lm - m + n) * f_val(l, q, x)
-        rep.values["lhs"], rep.values["rhs"] = lhs, rhs
-        ok = lhs == rhs
     else:
         raise ValueError("which must be 'l' or 'q'")
+    rep.values["lhs"], rep.values["rhs"] = lhs, rhs
+    ok = lhs == rhs
 
-    # constant recurrences: dropping the largest label of either list
-    if l:
-        got = bar_c_const(l, q) / bar_c_const(omit(l, m), q)
-        want = Fraction(2) ** (m - n - 1) / math.factorial(2 * lm - 1)
-        for v in l[:-1]:
-            want *= lm - v
-        for v in q:
-            want /= lm + v
-        rep.values["cbar.l.ratio"] = got
-        ok = ok and got == want
-    if q:
-        qn = q[-1]
-        got = bar_c_const(l, q) / bar_c_const(l, omit(q, n))
-        want = Fraction(2) ** (n - m - 1) / math.factorial(2 * qn)
-        for v in q[:-1]:
-            want *= qn - v
-        for v in l:
-            want /= qn + v
-        rep.values["cbar.q.ratio"] = got
+    # constant recurrences: dropping the largest label of either list; the
+    # factorial runs to 2*top - 1 for a lower label and to 2*top for an upper
+    for name, own, other, dropped, odd in (
+        ("l", l, q, (l[:-1], q), 1),
+        ("q", q, l, (l, q[:-1]), 0),
+    ):
+        if not own:
+            continue
+        top = own[-1]
+        got = bar_c_const(l, q) / bar_c_const(*dropped)
+        want = Fraction(2) ** (len(own) - len(other) - 1) / math.factorial(2 * top - odd)
+        for v in own[:-1]:
+            want *= top - v
+        for v in other:
+            want /= top + v
+        rep.values[f"cbar.{name}.ratio"] = got
         ok = ok and got == want
 
     rep.close(started)
@@ -526,44 +453,14 @@ def instance_children(family: str, l: IndexList, q: IndexList, x: int):
     """The smaller instances the applicable recurrence or boundary reduction
     rewrites (family, l, q, x) into; empty exactly at the base case."""
     l, q = check_index_list(l), check_index_list(q)
-    m, n = len(l), len(q)
     if not (l or q):
         return []
-    barred = family == "Rbar"
-    lm, qn = l[-1] if l else 0, q[-1] if q else 0
-    lo = min_x(l, q, barred)
+    lo = min_x(l, q, family == "Rbar")
     if x < lo:
         raise ValueError(f"invalid instance {family} l={l} q={q} x={x}")
-    out = []
     if x > lo:
-        if not barred:
-            if m <= n:
-                out += [("R", l, omit(q, k), x) for k in range(1, n + 1)]
-                if m == n:
-                    out.append(("Rbar", l, q, x))
-            else:
-                out += [("R", omit(l, k), q, x - 1) for k in range(1, m)]
-                out.append(("R", omit(l, m), q, x + lm - _lm1(l) - 1))
-        else:
-            if m < n:
-                out += [("Rbar", l, omit(q, k), x) for k in range(1, n + 1)]
-            else:
-                out += [("Rbar", omit(l, k), q, x - 1) for k in range(1, m)]
-                out.append(("Rbar", omit(l, m), q, x + lm - _lm1(l) - 1))
-                if m == n:
-                    out.append(("R", l, q, x - 1))
-    else:
-        if not barred:
-            if l and lm - m + 1 >= qn - n:
-                out.append(("R", omit(l, m), q, lm - _lm1(l) - 1))
-            else:
-                out.append(("R", l, omit(q, n), x))
-        else:
-            if l and lm - m >= qn - n:
-                out.append(("Rbar", omit(l, m), q, lm - _lm1(l) - 1))
-            else:
-                out.append(("Rbar", l, omit(q, n), x))
-    return out
+        return [child for _, child in recurrence_terms(family, l, q, x)]
+    return [next(child for _, xx, _, child in frozen_edges(family, l, q) if xx == lo)]
 
 
 def check_reachability(family: str, l, q, x: int) -> int:
@@ -597,8 +494,6 @@ def check_reachability(family: str, l, q, x: int) -> int:
 def index_list_pairs(max_entry: int, max_len: int):
     """All pairs of strictly increasing lists with entries <= max_entry and
     length <= max_len, empties included."""
-    from itertools import combinations
-
     lists = [()]
     for size in range(1, max_len + 1):
         lists += list(combinations(range(1, max_entry + 1), size))
@@ -607,42 +502,46 @@ def index_list_pairs(max_entry: int, max_len: int):
             yield l, q
 
 
-def sweep_region_formula(max_entry=3, max_len=2, x_extra=2, sides=(SOUTHWEST, NORTHWEST)):
-    for l, q in index_list_pairs(max_entry, max_len):
-        if not l and not q:
-            continue
+def nonempty_pairs(max_entry: int, max_len: int):
+    """:func:`index_list_pairs` without the pair of two empty lists."""
+    return ((l, q) for l, q in index_list_pairs(max_entry, max_len) if l or q)
+
+
+def hexagon_placements(max_a: int, max_b: int, max_k: int):
+    """Every (HexParams, windows) with 1 <= a <= max_a, 1 <= b <= max_b,
+    0 <= k <= max_k and at most two windows."""
+    for a, b, k in cartesian(range(1, max_a + 1), range(1, max_b + 1), range(max_k + 1)):
+        p = HexParams(a, b, k)
+        for ws in window_placements(p, 2):
+            yield p, ws
+
+
+def sweep_region_formula(max_entry=3, max_len=2, x_extra=2):
+    for l, q in nonempty_pairs(max_entry, max_len):
         lo = min(min_x(l, q, False), min_x(l, q, True))
         hi = max(min_x(l, q, False), min_x(l, q, True)) + x_extra
         for x in range(lo, hi + 1):
-            yield verify_region_formula(l, q, x, sides=sides)
+            yield verify_region_formula(l, q, x)
 
 
 def sweep_count_recurrences(max_entry=3, max_len=2, x_extra=2):
-    for l, q in index_list_pairs(max_entry, max_len):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(max_entry, max_len):
         x0 = min_x(l, q, False)
         for x in range(x0 + 1, x0 + x_extra + 1):
             yield verify_count_recurrences(l, q, x)
 
 
 def sweep_boundary_reductions(max_entry=3, max_len=2):
-    for l, q in index_list_pairs(max_entry, max_len):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(max_entry, max_len):
         yield verify_boundary_reductions(l, q)
 
 
 def sweep_poly_recurrences(max_entry=3, max_len=2):
-    for l, q in index_list_pairs(max_entry, max_len):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(max_entry, max_len):
         yield verify_poly_recurrences(l, q)
 
 
 def sweep_increment_relations(count=20, seed=0, max_entry=6):
-    import random
-
     rng = random.Random(seed)
     made = 0
     while made < count:
@@ -661,19 +560,14 @@ def sweep_increment_relations(count=20, seed=0, max_entry=6):
         yield verify_increment_relations(l, q, k, rng.randint(1, 5), which)
 
 
-def sweep_hexagons(max_a=3, max_b=2, max_k=3, product=True, factorization=True, pieces=False):
-    for a in range(1, max_a + 1):
-        for b in range(1, max_b + 1):
-            for k in range(0, max_k + 1):
-                p = HexParams(a, b, k)
-                for ws in window_placements(p, 2):
-                    if product:
-                        yield verify_hexagon_formula(p, ws)
-                    if factorization:
-                        region, _, _, _ = windowed_hexagon(p, ws)
-                        yield verify_factorization(region, hexagon_instance(p, ws))
-                    if pieces:
-                        yield verify_cut_pieces(p, ws)
+def sweep_hexagons(max_a=3, max_b=2, max_k=3, product=True, factorization=True):
+    for p, ws in hexagon_placements(max_a, max_b, max_k):
+        if product:
+            yield verify_hexagon_formula(p, ws)
+        if factorization:
+            region, _, _, _ = windowed_hexagon(p, ws)
+            yield verify_factorization(region, hexagon_instance(p, ws))
+            yield verify_cut_pieces(p, ws)
 
 
 def window_placements(p: HexParams, max_windows: int = 2):

@@ -44,12 +44,13 @@ from lozenge.verify import (
     expected_cut_pieces,
     family_poly,
     hexagon_instance,
+    hexagon_placements,
     index_list_pairs,
+    nonempty_pairs,
     sweep_increment_relations,
     verify_boundary_reductions,
     verify_count_recurrences,
     verify_poly_recurrences,
-    window_placements,
 )
 
 HALF = Fraction(1, 2)
@@ -99,9 +100,7 @@ def zigzag_sweep():
     families: region, oracle count, both determinant encodings, polynomial."""
     started = time.perf_counter()
     rows = []
-    for l, q in index_list_pairs(4, 2):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(4, 2):
         for family, barred in (("R", False), ("Rbar", True)):
             lo = min_x(l, q, barred)
             for x in range(lo, lo + 4):
@@ -115,6 +114,7 @@ def zigzag_sweep():
                         poly=family_poly(family, l, q, x),
                     )
                 )
+    assert len(rows) == 960
     return rows, time.perf_counter() - started
 
 
@@ -124,24 +124,21 @@ def hexagon_sweep():
     together with the whole and piece counts and the cut."""
     started = time.perf_counter()
     rows = []
-    for a in range(1, 7):
-        for b in range(1, 7):
-            for k in range(0, 4):
-                params = HexParams(a, b, k)
-                for ws in window_placements(params, 2):
-                    cp, cws = canonical_hexagon(params, ws)
-                    region, family, l, q = windowed_hexagon(cp, cws)
-                    cut = symmetry_axis_cut(region)
-                    rows.append(
-                        dict(
-                            instance=hexagon_instance(params, ws),
-                            params=cp, family=family, l=l, q=q,
-                            region=region, cut=cut,
-                            whole=count_oracle(region),
-                            plus=count_oracle(cut.plus),
-                            minus=count_oracle(cut.minus),
-                        )
-                    )
+    for params, ws in hexagon_placements(6, 6, 3):
+        cp, cws = canonical_hexagon(params, ws)
+        region, family, l, q = windowed_hexagon(cp, cws)
+        cut = symmetry_axis_cut(region)
+        rows.append(
+            dict(
+                instance=hexagon_instance(params, ws),
+                params=cp, family=family, l=l, q=q,
+                region=region, cut=cut,
+                whole=count_oracle(region),
+                plus=count_oracle(cut.plus),
+                minus=count_oracle(cut.minus),
+            )
+        )
+    assert len(rows) == 1725
     return rows, time.perf_counter() - started
 
 
@@ -240,9 +237,7 @@ def test_acceptance_5_count_recurrences_and_boundary_cases(zigzag_sweep):
         if x > min_x(l, q, barred=False):
             rep = verify_count_recurrences(l, q, x)
             assert rep.match, rep.values
-    for l, q in index_list_pairs(4, 2):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(4, 2):
         rep = verify_boundary_reductions(l, q)
         assert rep.match, (l, q, rep.values)
     _report(5, "one-bump count recurrences and frozen-edge reductions", started)
@@ -250,9 +245,7 @@ def test_acceptance_5_count_recurrences_and_boundary_cases(zigzag_sweep):
 
 def test_acceptance_6_polynomial_recurrences_and_ratios():
     started = time.perf_counter()
-    for l, q in index_list_pairs(4, 2):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(4, 2):
         rep = verify_poly_recurrences(l, q)
         assert rep.match, (l, q)
     # ratio identities at ten sample points each

@@ -24,7 +24,7 @@ from lozenge.regions import (
     windowed_hexagon,
     zigzag_walk,
 )
-from lozenge.verify import index_list_pairs, window_placements
+from lozenge.verify import hexagon_placements, nonempty_pairs
 
 
 def reference_oracle(r: Region) -> Fraction:
@@ -89,24 +89,18 @@ def test_oracle_agrees_with_naive_enumeration(builder):
 
 def test_oracle_equals_per_cell_reference_on_hexagon_sweep():
     checked = 0
-    for a in range(1, 6):
-        for b in range(1, 5):
-            for k in range(4):
-                p = HexParams(a, b, k)
-                for ws in window_placements(p, 2):
-                    whole, _, _, _ = windowed_hexagon(p, ws)
-                    cut = symmetry_axis_cut(whole)
-                    for r in (whole, cut.plus, cut.minus):
-                        assert count_oracle(r) == reference_oracle(r), (p, ws)
-                    checked += 1
+    for p, ws in hexagon_placements(5, 4, 3):
+        whole, _, _, _ = windowed_hexagon(p, ws)
+        cut = symmetry_axis_cut(whole)
+        for r in (whole, cut.plus, cut.minus):
+            assert count_oracle(r) == reference_oracle(r), (p, ws)
+        checked += 1
     assert checked == 472
 
 
 def test_oracle_equals_per_cell_reference_on_zigzag_members():
     checked = 0
-    for l, q in index_list_pairs(3, 2):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(3, 2):
         for barred in (False, True):
             lo = min_x(l, q, barred)
             for x in range(lo, lo + 3):
@@ -186,9 +180,7 @@ def test_tilings_partition_the_region():
 
 
 def test_gv_equals_oracle_across_small_sweep():
-    for l, q in index_list_pairs(3, 2):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(3, 2):
         for family, barred in (("R", False), ("Rbar", True)):
             lo = min_x(l, q, barred)
             for x in (lo, lo + 1, lo + 2):
@@ -279,9 +271,7 @@ def reference_path_matrix(l, q, x, family, side) -> RationalMatrix:
 def test_gv_matrix_equals_per_start_reference_sweep():
     # Rbar members carry the half-weighted steps
     checked = 0
-    for l, q in index_list_pairs(3, 2):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(3, 2):
         for family, barred in (("R", False), ("Rbar", True)):
             lo = min_x(l, q, barred)
             for x in (lo, lo + 1):

@@ -17,7 +17,7 @@ from lozenge.regions import (
     windowed_hexagon,
     zigzag_walk,
 )
-from lozenge.verify import expected_cut_pieces, index_list_pairs
+from lozenge.verify import expected_cut_pieces, nonempty_pairs
 
 
 def test_index_list_helpers():
@@ -95,9 +95,7 @@ def test_zigzag_rejects_x_below_bound():
 
 @pytest.mark.parametrize("barred", [False, True])
 def test_zigzag_regions_balance_and_side_lengths(barred):
-    for l, q in index_list_pairs(4, 2):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(4, 2):
         m, n = len(l), len(q)
         lm = l[-1] if l else 0
         lo = min_x(l, q, barred)

@@ -8,8 +8,10 @@ from lozenge.regions import HexParams, WindowSpec, hexagon, min_x, windowed_hexa
 from lozenge.verify import (
     CountReport,
     check_reachability,
-    index_list_pairs,
+    frozen_edges,
     instance_children,
+    nonempty_pairs,
+    recurrence_terms,
     verify_boundary_reductions,
     verify_count_recurrences,
     verify_cut_pieces,
@@ -114,10 +116,34 @@ def test_instance_children_shapes():
     assert instance_children("R", (), (), 5) == []
 
 
+def test_frozen_edges_and_children_come_from_the_tables():
+    for l, q in nonempty_pairs(3, 2):
+        for fam in ("R", "Rbar"):
+            edges = frozen_edges(fam, l, q)
+            assert [name for name, _, _, _ in edges] == ["base"] * bool(l) + ["top"] * bool(q)
+            for name, _, coeff, _ in edges:
+                assert coeff == (Fraction(1, 2) if name == "top" else 1)
+            lo = min_x(l, q, fam == "Rbar")
+            for x in (lo + 1, lo + 2):
+                want = [child for _, child in recurrence_terms(fam, l, q, x)]
+                assert instance_children(fam, l, q, x) == want
+
+
+def test_broken_recurrence_coefficients_are_reported(monkeypatch):
+    import lozenge.verify as V
+
+    for name in ("coeff_C", "coeff_D"):
+        good = getattr(V, name)
+        monkeypatch.setattr(V, name, lambda *args, good=good: good(*args) + 1)
+    # the upper-bump (coeff_C) and the lower-bump (coeff_D) expansions
+    assert not verify_count_recurrences((1,), (1, 2), 1).match
+    assert not verify_count_recurrences((1, 2), (1,), 2).match
+    assert not verify_poly_recurrences((1,), (1, 2)).match
+    assert not verify_poly_recurrences((1, 2), (1,)).match
+
+
 def test_reachability_full_small_sweep():
-    for l, q in index_list_pairs(4, 2):
-        if not l and not q:
-            continue
+    for l, q in nonempty_pairs(4, 2):
         for fam in ("R", "Rbar"):
             lo = min_x(l, q, fam == "Rbar")
             for x in (lo, lo + 3):
