@@ -5,7 +5,11 @@ dynamic program: cells are scanned in (row, col) order, and each state is
 the bitmask of already-covered cells ahead of the scan front.  An up cell
 and its east down neighbour are scanned as one step: the down cell's only
 backward partner is that up cell, so it is never covered before the pair
-is reached.  It works on any region.
+is reached.  A 120-degree turn of the lattice maps tilings to tilings and
+keeps every weight, so on a large region the oracle ranks the three
+orientations by a bound on their frontier states and scans the cheapest.
+Only half-weighted positions carry a weight in the DP, so a region
+without them is counted in plain integer counts.  It works on any region.
 
 ``count_gv`` applies the nonintersecting-path determinant method to the
 two zigzag-anchored families: tilings biject onto tuples of paths of
@@ -18,15 +22,20 @@ east and southeast).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .exact import RationalMatrix, determinant
-from .lattice import Loz, Region, balance, is_up, lozenge
+from .lattice import Cell, Loz, Region, balance, is_up, lozenge
 from .regions import IndexList, Vertex, ZigzagWalk, zigzag_walk
 
 SOUTHWEST = "southwest"
 NORTHWEST = "northwest"
+
+# (pair, weight of the move that reads no slot, [(bit, weight)] slots)
+Step = tuple[bool, int, list[tuple[int, int]]]
 
 
 def count_oracle(r: Region) -> Fraction:
@@ -43,50 +52,144 @@ def count_oracle(r: Region) -> Fraction:
     neighbour or the up cell above it.  Every other cell is one step
     shifted by 1.
 
-    Weight-1 lozenges are counted with weight 2 internally and the total is
-    divided by 2**(cells/2) at the end, so the whole dynamic program runs
-    over Python integers.
+    The scan may run on the region turned by 120 degrees once or twice
+    (:func:`_turn`), which leaves the count unchanged.  A cheap row bound
+    on the state-steps of the as-given scan gates the choice: above
+    16 per cell, the three orientations are ranked by the finer
+    :func:`_position_bound`, a turned one charged one extra step per cell,
+    and the cheapest is scanned (:func:`_scan_plan`).
+
+    Each half-weighted position counts 2 while unused and 1 once placed;
+    every other position counts 1.  So the DP sums 2**len(half) times the
+    weighted count over Python integers, and the total is divided by
+    2**len(half) at the end; a region without half weights is counted in
+    plain tiling counts.
     """
     ncells = len(r.cells)
     if ncells == 0:
         return Fraction(1)
     if ncells % 2 or balance(r) != 0:
         return Fraction(0)
+    _, steps = _scan_plan(r)
+    return Fraction(_frontier_sum(steps), 1 << len(r.half))
+
+
+def _turn(cell: Cell) -> Cell:
+    """The counterclockwise 120-degree turn about the lattice vertex (0, 0).
+
+    It has order 3, keeps up cells up and maps the partners of a cell to
+    the partners of its image, so it maps tilings to tilings.
+    """
+    row, col = cell
+    return col // 2, -col - 2 * row - 2
+
+
+def _turned(r: Region, k: int) -> tuple[list[Cell], set[Loz]]:
+    """The sorted cells and the half positions of r turned k times."""
+    cells, half = list(r.cells), set(r.half)
+    for _ in range(k):
+        cells = [_turn(c) for c in cells]
+        half = {lozenge(_turn(a), _turn(b)) for a, b in half}
+    return sorted(cells), half
+
+
+def _scan_plan(r: Region) -> tuple[int, list[Step]]:
+    """How many turns the oracle scans r after, and the steps of that scan."""
     cells = sorted(r.cells)
+    steps, row_bound = _scan_steps(cells, r.half)
+    if row_bound <= 16 * len(cells):
+        return 0, steps
+    orientations = [(cells, r.half), _turned(r, 1), _turned(r, 2)]
+    costs = [_position_bound(c) + (len(c) if k else 0) for k, (c, _) in enumerate(orientations)]
+    k = costs.index(min(costs))
+    if k:
+        steps, _ = _scan_steps(*orientations[k])
+    return k, steps
+
+
+def _scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
+    """The oracle's steps over the sorted cells, and a row bound on the
+    number of frontier states the per-cell scan visits.
+
+    A half position is decided at its first scanned cell: if that cell is
+    already covered, or takes a slot that is another position, the position
+    stays unused and the step multiplies by 2.  A pair step's slot-free move
+    is the horizontal lozenge, which covers the down cell; a single step's
+    is the shift past a covered cell.
+
+    The row bound sums C(ups_r, carry_r) * len_r over rows, where carry_r,
+    the downs minus the ups of the rows below, is the number of up cells of
+    row r covered when its scan starts.
+    """
+    ncells = len(cells)
     index = {c: i for i, c in enumerate(cells)}
-    half = r.half
+    # the other cell of each half position, keyed by its first scanned cell
+    marked: dict[Cell, list[Cell]] = {}
+    for a, b in half:
+        marked.setdefault(a, []).append(b)
 
-    def down_slots(j: int, base: int) -> list[tuple[int, int]]:
-        """(bit relative to cell base, doubled weight) for each forward
-        partner of down cell j."""
-        row, col = cell = cells[j]
-        slots = []
-        for mate in ((row, col + 1), (row + 1, col - 1)):
-            m = index.get(mate)
-            if m is not None:
-                slots.append((1 << (m - base), 1 if (cell, mate) in half else 2))
-        return slots
+    # A down cell ends the step of its west neighbour when that is in the
+    # region; such a pair step pads its slots to two with bit 0, which is
+    # set in every state that reads them.
+    steps: list[Step] = []
+    row_bound = carry = 0  # carry: downs minus ups of the rows below
+    start = 0
+    while start < ncells:
+        end = bisect_left(cells, (cells[start][0] + 1,), start)
+        ups = 0
+        for i in range(start, end):
+            row, col = cell = cells[i]
+            if not col & 1:
+                ups += 1
+                # without its east neighbour it has no forward partner
+                if i + 1 == end or cells[i + 1][1] != col + 1:
+                    steps.append((False, 1, []))
+                continue
+            pair = i > start and cells[i - 1][1] == col - 1
+            own = marked.get(cell, ())
+            unused = len(own) + (pair and cell in marked.get(cells[i - 1], ()))
+            slots = []
+            for mate in ((row, col + 1), (row + 1, col - 1)):
+                m = index.get(mate)
+                if m is not None:
+                    slots.append((1 << (m - i + pair), 1 << (unused - (mate in own))))
+            if pair:
+                slots += [(1, 0)] * (2 - len(slots))
+            steps.append((pair, 1 << len(own), slots))
+        if carry >= 0:
+            row_bound += comb(ups, carry) * (end - start)
+        carry += end - start - 2 * ups
+        start = end
+    return steps, row_bound
 
-    # (pair, horizontal weight, slots) per step; a pair step pads its slots
-    # to two with bit 0, which is set in every state that reads them
-    steps: list[tuple[bool, int, list[tuple[int, int]]]] = []
-    i = 0
-    while i < ncells:
-        row, col = cell = cells[i]
-        if not is_up(cell):
-            steps.append((False, 0, down_slots(i, i)))
-            i += 1
-        elif i + 1 < ncells and cells[i + 1] == (row, col + 1):
-            w2 = 1 if (cell, cells[i + 1]) in half else 2
-            slots = down_slots(i + 1, i)
-            steps.append((True, w2, slots + [(1, 0)] * (2 - len(slots))))
-            i += 2
-        else:
-            steps.append((False, 0, []))
-            i += 1
 
+def _position_bound(cells: list[Cell]) -> int:
+    """A bound on the frontier states the per-cell scan of the sorted
+    cells visits: the sum over scan positions of C(live, covered).
+
+    The covered cells ahead of the scan at (row, col) are up cells: of this
+    row at or after col, or of the next row at columns <= col - 2 (above a
+    scanned down cell).  There are ``live`` of those, and ``covered``, the
+    downs minus the ups scanned so far, of them are covered.
+    """
+    ups: dict[int, list[int]] = {}
+    for row, col in cells:
+        if not col & 1:
+            ups.setdefault(row, []).append(col)
+    bound = covered = 0
+    for row, col in cells:
+        here, above = ups.get(row, []), ups.get(row + 1, [])
+        live = len(here) - bisect_left(here, col) + bisect_right(above, col - 2)
+        if covered >= 0:
+            bound += comb(live, covered)
+        covered += 1 if col & 1 else -1
+    return bound
+
+
+def _frontier_sum(steps: list[Step]) -> int:
+    """The DP's weighted sum over tilings of the scanned cells."""
     states: dict[int, int] = {0: 1}
-    for pair, h2, slots in steps:
+    for pair, w0, slots in steps:
         nxt: dict[int, int] = {}
         get = nxt.get
         if pair:
@@ -101,21 +204,21 @@ def count_oracle(r: Region) -> Fraction:
                         nxt[key] = get(key, 0) + val * w2
                 else:
                     key = mask >> 2
-                    nxt[key] = get(key, 0) + val * h2
+                    nxt[key] = get(key, 0) + val * w0
         else:
             for mask, val in states.items():
                 if mask & 1:
                     key = mask >> 1
-                    nxt[key] = get(key, 0) + val
+                    nxt[key] = get(key, 0) + val * w0
                     continue
-                for bit, w2 in slots:
+                for bit, w in slots:
                     if not mask & bit:
                         key = (mask | bit) >> 1
-                        nxt[key] = get(key, 0) + val * w2
+                        nxt[key] = get(key, 0) + val * w
         if not nxt:
-            return Fraction(0)
+            return 0
         states = nxt
-    return Fraction(states.get(0, 0), 1 << (ncells // 2))
+    return states.get(0, 0)
 
 
 def _walk_tilings(r: Region):

@@ -101,7 +101,7 @@ def determinant(m: RationalMatrix) -> Fraction:
     for row in m.entries:
         den = math.lcm(*(v.denominator for v in row))
         scale *= den
-        cleared.append([int(v * den) for v in row])
+        cleared.append([v.numerator * (den // v.denominator) for v in row])
     return Fraction(_int_determinant(cleared), scale)
 
 

@@ -106,8 +106,8 @@ def region(cells, half=()) -> Region:
 
 def balance(r: Region) -> int:
     """Number of up cells minus number of down cells (nonzero means untileable)."""
-    up = sum(1 for c in r.cells if is_up(c))
-    return up - (len(r.cells) - up)
+    down = sum(col & 1 for _, col in r.cells)
+    return len(r.cells) - 2 * down
 
 
 def eliminate_forced(r: Region) -> tuple[Region, Fraction, bool]:

@@ -452,10 +452,13 @@ def zigzag_walk(l, q, x: int, barred: bool) -> ZigzagWalk:
 
     # boundary segments for the nonintersecting-path encodings
     def seg_edges(part: list[Vertex], keep: tuple[int, int]) -> list[Vertex]:
+        # (min va, min vb) over the edge's two ends: its start moved by the
+        # negative components of the step
+        da, db = min(keep[0], 0), min(keep[1], 0)
         out = []
         for (va1, vb1), (va2, vb2) in zip(part, part[1:]):
             if (va2 - va1, vb2 - vb1) == keep:
-                out.append((min(va1, va2), min(vb1, vb2)))
+                out.append((va1 + da, vb1 + db))
         return out
 
     return ZigzagWalk(

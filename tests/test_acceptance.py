@@ -16,7 +16,6 @@ from lozenge.formulas import (
     b_poly,
     bar_b_poly,
     bar_c_const,
-    bar_p_poly,
     c_const,
     coeff_barC,
     coeff_barD,
@@ -24,16 +23,13 @@ from lozenge.formulas import (
     coeff_C_product,
     coeff_D,
     macmahon,
-    p_poly,
 )
 from lozenge.lattice import congruent, eliminate_forced, symmetry_axis_cut
 from lozenge.regions import (
     HexParams,
     WindowSpec,
     canonical_hexagon,
-    hexagon,
     min_x,
-    omit,
     r_bar_region,
     r_region,
     rasterize,

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from lozenge.count import (
     NORTHWEST,
     SOUTHWEST,
+    _frontier_sum,
+    _scan_plan,
+    _scan_steps,
+    _turn,
+    _turned,
     count_gv,
     count_oracle,
     enumerate_tilings,
@@ -17,6 +22,7 @@ from lozenge.exact import RationalMatrix, determinant
 from lozenge.lattice import Region, balance, is_up, lozenge, partners, region, symmetry_axis_cut
 from lozenge.regions import (
     HexParams,
+    WindowSpec,
     hexagon,
     min_x,
     r_bar_region,
@@ -61,6 +67,31 @@ def reference_oracle(r: Region) -> Fraction:
             return Fraction(0)
         states = nxt
     return Fraction(states.get(0, 0), 1 << (ncells // 2))
+
+
+def scanned_count(r: Region, turns: int) -> Fraction:
+    """The oracle's DP on r scanned after the given number of turns."""
+    cells, half = _turned(r, turns)
+    steps, _ = _scan_steps(cells, half)
+    return Fraction(_frontier_sum(steps), 1 << len(half))
+
+
+def per_cell_states(cells) -> int:
+    """The number of frontier states the per-cell scan of the cells visits,
+    summed over scan positions."""
+    cells = sorted(cells)
+    index = {c: i for i, c in enumerate(cells)}
+    states, total = {0}, 0
+    for i, (row, col) in enumerate(cells):
+        total += len(states)
+        fwd = [(row, col + 1)] if col % 2 == 0 else [(row, col + 1), (row + 1, col - 1)]
+        bits = [1 << (index[m] - i) for m in fwd if m in index]
+        states = {
+            nxt
+            for mask in states
+            for nxt in ([mask >> 1] if mask & 1 else [(mask | b) >> 1 for b in bits if not mask & b])
+        }
+    return total
 
 
 def test_oracle_trivial_values():
@@ -167,7 +198,46 @@ def holey_subregions(draw) -> Region:
 @example(HOLED)
 @example(TWO_PIECES)
 def test_oracle_agrees_with_weighted_enumeration_on_random_subregions(r):
-    assert count_oracle(r) == enumerated_count(r)
+    want = enumerated_count(r)
+    assert count_oracle(r) == want
+    # each turn moves half weights onto other lozenge orientations
+    for turns in range(3):
+        assert scanned_count(r, turns) == want, turns
+
+
+def test_turn_has_order_three_and_maps_lozenges_to_lozenges():
+    for row in range(-4, 5):
+        for col in range(-9, 10):
+            cell = (row, col)
+            assert _turn(_turn(_turn(cell))) == cell
+            assert _turn(cell) != cell
+            assert is_up(_turn(cell)) == is_up(cell)
+            assert {_turn(m) for m in partners(cell)} == set(partners(_turn(cell)))
+
+
+def test_turned_region_keeps_cells_half_positions_and_count():
+    r = r_bar_region((2, 4), (1, 3), 2)
+    assert r.half
+    for turns in range(3):
+        cells, half = _turned(r, turns)
+        assert len(set(cells)) == len(r.cells) and cells == sorted(cells)
+        assert len(half) == len(r.half)
+        assert all(a < b and b in partners(a) and a in cells and b in cells for a, b in half)
+        assert scanned_count(r, turns) == count_oracle(r)
+    assert _turned(r, 3) == _turned(r, 0) == (sorted(r.cells), set(r.half))
+
+
+def test_scan_orientation_on_the_ladder_rungs():
+    # the largest windowed rung scans turned and walks under half the
+    # as-given scan's 1,004,869 frontier states
+    holey, _, _, _ = windowed_hexagon(HexParams(7, 6, 3), [WindowSpec("DELTA", 3, 3)])
+    turns, _ = _scan_plan(holey)
+    assert turns
+    assert per_cell_states(_turned(holey, turns)[0]) <= 500_000
+    # the plain s,s,s hexagons look alike in every orientation and keep it
+    for s in range(4, 8):
+        assert _scan_plan(hexagon(HexParams(s, s, 0)))[0] == 0
+    assert per_cell_states(hexagon(HexParams(7, 7, 0)).cells) == 317_972
 
 
 def test_tilings_partition_the_region():

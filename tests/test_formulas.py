@@ -13,8 +13,6 @@ from lozenge.formulas import (
     bar_c_const,
     bar_p_poly,
     c_const,
-    coeff_barC,
-    coeff_barD,
     coeff_C,
     coeff_C_product,
     coeff_D,
@@ -24,7 +22,7 @@ from lozenge.formulas import (
     p_poly_shifted_form,
     partition_of,
 )
-from lozenge.regions import HexParams, hexagon, min_x, r_bar_region, r_region
+from lozenge.regions import HexParams, hexagon, r_bar_region, r_region
 from lozenge.verify import index_list_pairs
 
 HALF = Fraction(1, 2)

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from lozenge.count import count_oracle
 from lozenge.lattice import Region
 from lozenge.regions import HexParams, WindowSpec, hexagon, min_x, windowed_hexagon
 from lozenge.verify import (
