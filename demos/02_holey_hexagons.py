@@ -10,10 +10,9 @@ through a product of two closed-form polynomial values.
 from fractions import Fraction
 
 from lozenge.count import count_oracle
-from lozenge.lattice import symmetry_axis_cut
-from lozenge.regions import HexParams, WindowSpec, canonical_hexagon, windowed_hexagon
+from lozenge.regions import HexParams, WindowSpec, windowed_hexagon
 from lozenge.render import render_ascii
-from lozenge.verify import expected_cut_pieces, family_poly
+from lozenge.verify import family_poly, hexagon_sides
 
 examples = [
     ("even imbalance, two windows",
@@ -29,18 +28,14 @@ examples = [
 ]
 
 for title, params, windows in examples:
-    cp, cws = canonical_hexagon(params, windows)
-    region, family, l, q = windowed_hexagon(cp, cws)
-    cut = symmetry_axis_cut(region)
-    count = count_oracle(region)
-    plus, minus = expected_cut_pieces(family, l, q, cp.a, cp.k)
-    rhs = Fraction(2) ** cut.width * family_poly(*plus) * family_poly(*minus)
+    s = hexagon_sides(params, windows)
+    polys = family_poly(*s.plus), family_poly(*s.minus)
+    rhs = Fraction(2) ** s.cut.width * polys[0] * polys[1]
     print(f"--- {title}")
-    print(f"    hexagon a={cp.a} b={cp.b} k={cp.k}, family {family}, "
-          f"labels below={list(l)} above={list(q)}")
-    print(f"    tilings (oracle):  {count}")
-    print(f"    product formula:   {rhs}   "
-          f"[2^{cut.width} * {family_poly(*plus)} * {family_poly(*minus)}]")
+    print(f"    hexagon a={s.params.a} b={s.params.b} k={s.params.k}, family {s.family}, "
+          f"labels below={list(s.l)} above={list(s.q)}")
+    print(f"    tilings (oracle):  {count_oracle(s.region)}")
+    print(f"    product formula:   {rhs}   [2^{s.cut.width} * {polys[0]} * {polys[1]}]")
     print()
 
 print("The smallest holey hexagon, drawn with its window:")

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from lozenge.count import count_oracle
 from lozenge.lattice import congruent, eliminate_forced, symmetry_axis_cut
-from lozenge.regions import HexParams, WindowSpec, hexagon, r_bar_region, r_region, windowed_hexagon
-from lozenge.verify import expected_cut_pieces
+from lozenge.regions import HexParams, WindowSpec, hexagon
+from lozenge.verify import build_region, hexagon_sides
 
 print("Plain hexagon with a=b=2:")
 region = hexagon(HexParams(2, 2, 0))
@@ -25,18 +25,13 @@ print(f"  2^{cut.width} * {mp} * {mm} = {Fraction(2)**cut.width * mp * mm}")
 print()
 
 print("A holey hexagon and the named family members its pieces become:")
-params = HexParams(6, 5, 4)
-windows = [WindowSpec("DELTA", 2, 0), WindowSpec("DELTA", 2, 8)]
-region, family, l, q = windowed_hexagon(params, windows)
-cut = symmetry_axis_cut(region)
-plus, minus = expected_cut_pieces(family, l, q, params.a, params.k)
-print(f"  family {family}, labels {list(l)}; width {cut.width}")
-for side, got, want in (("left", cut.plus, plus), ("right", cut.minus, minus)):
-    expect = (r_region if want[0] == "R" else r_bar_region)(want[1], want[2], want[3])
+s = hexagon_sides(HexParams(6, 5, 4), [WindowSpec("DELTA", 2, 0), WindowSpec("DELTA", 2, 8)])
+print(f"  family {s.family}, labels {list(s.l)}; width {s.cut.width}")
+for side, got, want in (("left", s.cut.plus, s.plus), ("right", s.cut.minus, s.minus)):
     got_core, _, _ = eliminate_forced(got)
-    want_core, _, _ = eliminate_forced(expect)
+    want_core, _, _ = eliminate_forced(build_region(*want))
     same = congruent(got_core, want_core)
     print(f"  {side} piece ~ {want[0]} l={list(want[1])} q={list(want[2])} x={want[3]}: "
           f"count {count_oracle(got)}, congruent: {same}")
-whole = count_oracle(region)
-print(f"  M = {whole} = 2^{cut.width} * {count_oracle(cut.plus)} * {count_oracle(cut.minus)}")
+whole = count_oracle(s.region)
+print(f"  M = {whole} = 2^{s.cut.width} * {count_oracle(s.cut.plus)} * {count_oracle(s.cut.minus)}")

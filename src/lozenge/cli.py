@@ -13,21 +13,14 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import verify as V
 from .count import NORTHWEST, SOUTHWEST, count_gv, count_oracle
 from .exact import format_rational
 from .formulas import b_poly, bar_b_poly, bar_c_const, bar_p_poly, c_const, macmahon, p_poly
 from .lattice import Region, region_from_text, region_to_text, symmetry_axis_cut
-from .regions import (
-    HexParams,
-    WindowSpec,
-    check_index_list,
-    hexagon,
-    r_bar_region,
-    r_region,
-    windowed_hexagon,
-)
+from .regions import HexParams, WindowSpec, check_index_list, hexagon, windowed_hexagon
 from .render import first_tiling, render_ascii, render_svg
 
 
@@ -78,9 +71,8 @@ def build_region_from_args(args) -> tuple[Region, dict]:
         q = parse_index_list(args.q or "-", "q")
         if args.x is None:
             raise UsageError("--x is required for the R and Rbar families")
-        builder = r_region if family == "R" else r_bar_region
         try:
-            reg = builder(l, q, args.x)
+            reg = V.build_region(family, l, q, args.x)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         return reg, {"family": family, "l": l, "q": q, "x": args.x}
@@ -125,10 +117,8 @@ def cmd_count(args) -> int:
         value = count_gv(reg, meta["l"], meta["q"], meta["x"], meta["family"], args.side)
     elif args.method == "formula":
         fam = meta.get("family")
-        if fam == "R":
-            value = p_poly(meta["l"], meta["q"], meta["x"])
-        elif fam == "Rbar":
-            value = bar_p_poly(meta["l"], meta["q"], meta["x"])
+        if fam in ("R", "Rbar"):
+            value = V.family_poly(fam, meta["l"], meta["q"], meta["x"])
         elif fam in ("H_l", "H_lq", "Hbar_lq"):
             value = V.hexagon_formula(HexParams(*meta["hex"]), meta["windows"])
         else:
@@ -224,14 +214,12 @@ def cmd_verify(args) -> int:
     if "increments" in targets:
         run(V.sweep_increment_relations(count=args.random_count, seed=args.seed))
     if "theorem11" in targets or "factorization" in targets:
-        do_t = "theorem11" in targets
-        do_f = "factorization" in targets
-        run(
-            V.sweep_hexagons(
-                max_a=args.max_a, max_b=args.max_b, max_k=args.max_k,
-                product=do_t, factorization=do_f,
-            )
-        )
+        # each placement reports the product formula, then the factorization
+        # and the pieces; theorem11 stops before any piece is counted
+        first = 0 if "theorem11" in targets else 1
+        stop = 3 if "factorization" in targets else 1
+        for p, ws in V.hexagon_placements(args.max_a, args.max_b, args.max_k):
+            run(islice(V.verify_hexagon(p, ws), first, stop))
     mismatches = sum(1 for rep in reports if not rep.match)
     print(f"SUMMARY total={len(reports)} mismatches={mismatches}")
     return 1 if mismatches else 0

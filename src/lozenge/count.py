@@ -84,13 +84,11 @@ def _turn(cell: Cell) -> Cell:
     return col // 2, -col - 2 * row - 2
 
 
-def _turned(r: Region, k: int) -> tuple[list[Cell], set[Loz]]:
+def _turned(r: Region, k: int) -> tuple[list[Cell], frozenset[Loz]]:
     """The sorted cells and the half positions of r turned k times."""
-    cells, half = list(r.cells), set(r.half)
     for _ in range(k):
-        cells = [_turn(c) for c in cells]
-        half = {lozenge(_turn(a), _turn(b)) for a, b in half}
-    return sorted(cells), half
+        r = r.moved(_turn)
+    return sorted(r.cells), r.half
 
 
 def _scan_plan(r: Region) -> tuple[int, list[Step]]:

@@ -83,21 +83,19 @@ class Region:
     def __len__(self) -> int:
         return len(self.cells)
 
+    def moved(self, move) -> "Region":
+        """The image under ``move``, a cell map that sends lozenges to
+        lozenges; each half position is mapped cellwise and re-sorted."""
+        half = frozenset(tuple(sorted((move(a), move(b)))) for a, b in self.half)
+        return Region(frozenset(map(move, self.cells)), half)
+
     def translate(self, dr: int, dc: int) -> "Region":
         if dc % 2:
             raise ValueError("column offset of a lattice translation must be even")
-        mv = lambda cell: (cell[0] + dr, cell[1] + dc)
-        return Region(
-            frozenset(mv(c) for c in self.cells),
-            frozenset((mv(a), mv(b)) if mv(a) <= mv(b) else (mv(b), mv(a)) for a, b in self.half),
-        )
+        return self.moved(lambda cell: (cell[0] + dr, cell[1] + dc))
 
     def rotate180(self) -> "Region":
-        rot = lambda cell: (-cell[0] - 1, -cell[1] - 1)
-        return Region(
-            frozenset(rot(c) for c in self.cells),
-            frozenset((rot(a), rot(b)) if rot(a) <= rot(b) else (rot(b), rot(a)) for a, b in self.half),
-        )
+        return self.moved(lambda cell: (-cell[0] - 1, -cell[1] - 1))
 
 
 def region(cells, half=()) -> Region:
@@ -189,13 +187,10 @@ def mirror_axis(r: Region) -> int:
     if s % 2:
         raise ValueError("region has no vertical mirror axis")
     p = (s + 2 * row0 + 2) // 2
-    refl = lambda cell: (cell[0], 2 * p - 2 * cell[0] - 2 - cell[1])
-    if frozenset(refl(c) for c in r.cells) != r.cells:
+    mirrored = r.moved(lambda cell: (cell[0], 2 * p - 2 * cell[0] - 2 - cell[1]))
+    if mirrored.cells != r.cells:
         raise ValueError("region has no vertical mirror axis")
-    mapped = frozenset(
-        (refl(a), refl(b)) if refl(a) <= refl(b) else (refl(b), refl(a)) for a, b in r.half
-    )
-    if mapped != r.half:
+    if mirrored.half != r.half:
         raise ValueError("half-weighted positions are not mirror symmetric")
     return p
 

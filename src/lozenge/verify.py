@@ -10,13 +10,17 @@ The one-bump recurrences and frozen-edge reductions live only in the tables
 members, never a value); the count check folds them with oracle counts, the
 polynomial check with polynomial values, :func:`instance_children` with
 the children alone.
+
+A windowed hexagon is checked in one place: :func:`hexagon_sides`
+canonicalizes, builds, cuts and predicts the two pieces once, and
+:func:`verify_hexagon` turns that record into the product formula, the
+factorization and the pieces reports, counting each region once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product as cartesian
@@ -33,7 +37,7 @@ from .formulas import (
     p_poly,
     p_poly_degree,
 )
-from .lattice import Region, congruent, eliminate_forced, symmetry_axis_cut
+from .lattice import CutResult, Region, congruent, eliminate_forced, symmetry_axis_cut
 from .regions import (
     HexParams,
     IndexList,
@@ -52,26 +56,26 @@ from .regions import (
 
 __all__ = [
     "CountReport",
+    "HexagonSides",
     "check_reachability",
     "expected_cut_pieces",
     "frozen_edges",
     "hexagon_formula",
     "hexagon_placements",
+    "hexagon_sides",
     "instance_children",
     "index_list_pairs",
     "nonempty_pairs",
     "recurrence_terms",
     "sweep_boundary_reductions",
     "sweep_count_recurrences",
-    "sweep_hexagons",
     "sweep_increment_relations",
     "sweep_poly_recurrences",
     "sweep_region_formula",
     "verify_boundary_reductions",
     "verify_count_recurrences",
-    "verify_cut_pieces",
     "verify_factorization",
-    "verify_hexagon_formula",
+    "verify_hexagon",
     "verify_increment_relations",
     "verify_poly_recurrences",
     "verify_region_formula",
@@ -87,17 +91,14 @@ class CountReport:
     instance: str
     values: dict[str, Fraction] = field(default_factory=dict)
     match: bool = True
-    elapsed: float = 0.0
 
-    def close(self, started: float) -> "CountReport":
+    def close(self) -> "CountReport":
         vals = list(self.values.values())
         self.match = all(v == vals[0] for v in vals) if vals else True
-        self.elapsed = time.perf_counter() - started
         return self
 
-    def close_pairs(self, started: float) -> "CountReport":
+    def close_pairs(self) -> "CountReport":
         """Close a report of ``*.lhs``/``*.rhs`` pairs: match means every pair is equal."""
-        self.elapsed = time.perf_counter() - started
         self.match = all(
             v == self.values[k.replace(".lhs", ".rhs")]
             for k, v in self.values.items()
@@ -143,7 +144,6 @@ def family_count(family: str, l, q, x: int) -> Fraction:
 def verify_region_formula(l, q, x: int) -> CountReport:
     """Oracle count, determinant count (both encodings), and polynomial value
     must agree, for whichever of the two families admit this x."""
-    started = time.perf_counter()
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
     rep = CountReport(region_instance("RRbar", l, q, x))
     ok = True
@@ -159,7 +159,6 @@ def verify_region_formula(l, q, x: int) -> CountReport:
         ok = ok and all(v == vals[0] for v in vals)
     if not rep.values:
         raise ValueError(f"x={x} is admissible for neither family at l={l}, q={q}")
-    rep.elapsed = time.perf_counter() - started
     rep.match = ok  # the two families legitimately carry different values
     return rep
 
@@ -169,7 +168,13 @@ def verify_region_formula(l, q, x: int) -> CountReport:
 
 
 def expected_cut_pieces(family: str, l: IndexList, q: IndexList, a: int, k: int):
-    """The two pieces (family, l, q, x) that the axis cut must produce."""
+    """The two pieces (family, l, q, x) that the axis cut must produce.
+
+    ``a`` and ``k`` must be the canonical parameters the labels were read
+    against (:func:`lozenge.regions.canonical_hexagon`); the parameters of
+    a placement whose windows reach the hull predict the wrong pieces.
+    :func:`hexagon_sides` is the one caller that guarantees this.
+    """
     m, n = len(l), len(q)
     if family == "H_l":
         if not l:
@@ -208,69 +213,82 @@ def hexagon_instance(p: HexParams, windows: list[WindowSpec]) -> str:
     return f"H[a={p.a},b={p.b},k={p.k};w={wtxt or '-'}]"
 
 
-def _hexagon_sides(p: HexParams, windows: list[WindowSpec]):
-    """The canonical windowed region, its family, its axis cut, and the two
-    family members (family, l, q, x) that the family and the parity of a
-    select for the cut pieces."""
+@dataclass(frozen=True)
+class HexagonSides:
+    """A windowed hexagon read off once: its canonical parameters, region,
+    family and labels, its axis cut, and the two family members
+    (family, l, q, x) predicted for the cut pieces."""
+
+    params: HexParams
+    region: Region
+    family: str
+    l: IndexList
+    q: IndexList
+    cut: CutResult
+    plus: tuple
+    minus: tuple
+
+
+def hexagon_sides(p: HexParams, windows: list[WindowSpec]) -> HexagonSides:
+    """Canonicalize, build, cut and predict; labels and predictions are read
+    relative to the canonical parameters, whatever placement is given."""
     cp, cws = canonical_hexagon(p, windows)
     region, family, l, q = windowed_hexagon(cp, cws)
-    pieces = expected_cut_pieces(family, l, q, cp.a, cp.k)
-    return region, family, symmetry_axis_cut(region), pieces
+    plus, minus = expected_cut_pieces(family, l, q, cp.a, cp.k)
+    return HexagonSides(cp, region, family, l, q, symmetry_axis_cut(region), plus, minus)
 
 
 def hexagon_formula(p: HexParams, windows: list[WindowSpec]) -> Fraction:
     """The weighted count of a windowed hexagon by the product formula,
     2**width * P(plus) * P(minus); no tiling is counted."""
-    _, _, cut, (plus, minus) = _hexagon_sides(p, windows)
-    return 2**cut.width * family_poly(*plus) * family_poly(*minus)
+    s = hexagon_sides(p, windows)
+    return 2**s.cut.width * family_poly(*s.plus) * family_poly(*s.minus)
 
 
-def verify_hexagon_formula(p: HexParams, windows: list[WindowSpec]) -> CountReport:
-    """The weighted hexagon count, scaled by 2**-width, equals the product of
-    the two piece polynomials selected by the family and the parity of a."""
-    started = time.perf_counter()
-    region, family, cut, (plus, minus) = _hexagon_sides(p, windows)
-    rep = CountReport(hexagon_instance(p, windows) + f":{family}")
-    rep.values["lhs"] = count_oracle(region) / 2**cut.width
-    rep.values["rhs"] = family_poly(*plus) * family_poly(*minus)
-    return rep.close(started)
+def _factorization_report(instance: str, width: int, whole, plus, minus) -> CountReport:
+    values = {"whole": whole, "split": Fraction(2) ** width * plus * minus}
+    return CountReport(f"factorization[{instance};w={width}]", values).close()
 
 
 def verify_factorization(r: Region, instance: str = "region") -> CountReport:
     """Cutting along the mirror axis splits the count as 2**width times the
     product of the two pieces' counts."""
-    started = time.perf_counter()
     cut = symmetry_axis_cut(r)
-    rep = CountReport(f"factorization[{instance};w={cut.width}]")
-    rep.values["whole"] = count_oracle(r)
-    rep.values["split"] = (
-        Fraction(2) ** cut.width * count_oracle(cut.plus) * count_oracle(cut.minus)
-    )
-    return rep.close(started)
+    counts = count_oracle(r), count_oracle(cut.plus), count_oracle(cut.minus)
+    return _factorization_report(instance, cut.width, *counts)
 
 
-def verify_cut_pieces(p: HexParams, windows: list[WindowSpec]) -> CountReport:
-    """After removing forced lozenges, the two cut pieces are congruent to the
-    predicted family members (the right piece up to a half turn), and carry
-    the same counts."""
-    started = time.perf_counter()
-    _, family, cut, pieces = _hexagon_sides(p, windows)
-    rep = CountReport(hexagon_instance(p, windows) + f":{family}:pieces")
+def verify_hexagon(p: HexParams, windows: list[WindowSpec]):
+    """The one check of a windowed hexagon, yielding three reports as their
+    values exist: the product formula (count * 2**-width = P(plus) *
+    P(minus)), the factorization, and the pieces (each cut piece, without
+    its forced lozenges, is congruent to its predicted member, the right
+    one up to a half turn, with the same forced factor, and counts its
+    polynomial).  The oracle counts the region, then each piece only when
+    the second report is asked for."""
+    s = hexagon_sides(p, windows)
+    instance = hexagon_instance(p, windows)
+    whole = count_oracle(s.region)
+    polys = family_poly(*s.plus), family_poly(*s.minus)
+    formula = {"lhs": whole / 2**s.cut.width, "rhs": polys[0] * polys[1]}
+    yield CountReport(f"{instance}:{s.family}", formula).close()
+
+    counts = count_oracle(s.cut.plus), count_oracle(s.cut.minus)
+    yield _factorization_report(instance, s.cut.width, whole, *counts)
+
+    rep = CountReport(f"{instance}:{s.family}:pieces")
     ok = True
-    for side_name, got, want in zip(("plus", "minus"), (cut.plus, cut.minus), pieces):
+    for side, got, want, count, poly in zip(
+        ("plus", "minus"), (s.cut.plus, s.cut.minus), (s.plus, s.minus), counts, polys
+    ):
         got_core, got_f, got_dead = eliminate_forced(got)
         want_core, want_f, want_dead = eliminate_forced(build_region(*want))
-        if got_dead or want_dead or not congruent(got_core, want_core) or got_f != want_f:
-            ok = False
-        # the piece count must also equal the predicted member's polynomial
-        count = count_oracle(got)
-        predicted = family_poly(*want)
-        rep.values[f"{side_name}.count"] = count
-        rep.values[f"{side_name}.poly"] = predicted
-        ok = ok and count == predicted
-    rep.elapsed = time.perf_counter() - started
+        ok = ok and not (got_dead or want_dead) and got_f == want_f
+        ok = ok and congruent(got_core, want_core) and count == poly
+        rep.values[f"{side}.count"] = count
+        rep.values[f"{side}.poly"] = poly
     rep.match = ok
-    return rep
+    yield rep
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +348,6 @@ def _fold(terms, value) -> Fraction:
 def verify_count_recurrences(l, q, x: int) -> CountReport:
     """Last-row determinant expansions as count identities, oracle on every
     term, for whichever of the two families apply at (l, q, x)."""
-    started = time.perf_counter()
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
     rep = CountReport(region_instance("recur", l, q, x))
     if not (l or q):
@@ -341,14 +358,13 @@ def verify_count_recurrences(l, q, x: int) -> CountReport:
         if x > min_x(l, q, barred=family == "Rbar"):
             rep.values[f"{family}.lhs"] = family_count(family, l, q, x)
             rep.values[f"{family}.rhs"] = _fold(recurrence_terms(family, l, q, x), family_count)
-    return rep.close_pairs(started)
+    return rep.close_pairs()
 
 
 def verify_boundary_reductions(l, q) -> CountReport:
     """At the least admissible x the outermost lozenges freeze; the count
     collapses to a smaller member, with a factor 1/2 when the frozen run
     ends in a half-weighted position."""
-    started = time.perf_counter()
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
     rep = CountReport(region_instance("boundary", l, q, 0))
     for family in ("R", "Rbar"):
@@ -359,7 +375,7 @@ def verify_boundary_reductions(l, q) -> CountReport:
                 rep.values[f"{family}.{name}.rhs"] = coeff * family_count(*child)
     if not rep.values:
         raise ValueError(f"no boundary reduction applies to l={l}, q={q}")
-    return rep.close_pairs(started)
+    return rep.close_pairs()
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +386,6 @@ def verify_poly_recurrences(l, q) -> CountReport:
     """The tiling polynomials satisfy the same last-row recurrences as the
     counts; checked at degree-bound+1 points, plus every frozen-edge
     specialization at its exact argument."""
-    started = time.perf_counter()
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
     rep = CountReport(region_instance("poly", l, q, 0))
     if not (l or q):
@@ -387,7 +402,6 @@ def verify_poly_recurrences(l, q) -> CountReport:
             ok = ok and family_poly(family, l, q, x) == _fold(terms, family_poly)
         rep.values[f"{family}.checked"] = Fraction(len(points))
 
-    rep.close(started)
     rep.match = ok
     return rep
 
@@ -396,7 +410,6 @@ def verify_increment_relations(l, q, k: int, x: int, which: str = "l") -> CountR
     """Bumping one selected label up by 1 multiplies the normalized shifted
     polynomial by two explicit linear factors; the normalizing constants obey
     their own one-term recurrences."""
-    started = time.perf_counter()
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
     m, n = len(l), len(q)
     rep = CountReport(region_instance(f"incr.{which}{k}", l, q, x))
@@ -440,7 +453,6 @@ def verify_increment_relations(l, q, k: int, x: int, which: str = "l") -> CountR
         rep.values[f"cbar.{name}.ratio"] = got
         ok = ok and got == want
 
-    rep.close(started)
     rep.match = ok
     return rep
 
@@ -558,16 +570,6 @@ def sweep_increment_relations(count=20, seed=0, max_entry=6):
             continue
         made += 1
         yield verify_increment_relations(l, q, k, rng.randint(1, 5), which)
-
-
-def sweep_hexagons(max_a=3, max_b=2, max_k=3, product=True, factorization=True):
-    for p, ws in hexagon_placements(max_a, max_b, max_k):
-        if product:
-            yield verify_hexagon_formula(p, ws)
-        if factorization:
-            region, _, _, _ = windowed_hexagon(p, ws)
-            yield verify_factorization(region, hexagon_instance(p, ws))
-            yield verify_cut_pieces(p, ws)
 
 
 def window_placements(p: HexParams, max_windows: int = 2):

@@ -24,28 +24,17 @@ from lozenge.formulas import (
     coeff_D,
     macmahon,
 )
-from lozenge.lattice import congruent, eliminate_forced, symmetry_axis_cut
-from lozenge.regions import (
-    HexParams,
-    WindowSpec,
-    canonical_hexagon,
-    min_x,
-    r_bar_region,
-    r_region,
-    rasterize,
-    walk,
-    windowed_hexagon,
-)
+from lozenge.regions import HexParams, WindowSpec, min_x, r_bar_region, r_region, rasterize, walk
 from lozenge.verify import (
-    expected_cut_pieces,
+    build_region,
     family_poly,
-    hexagon_instance,
     hexagon_placements,
     index_list_pairs,
     nonempty_pairs,
     sweep_increment_relations,
     verify_boundary_reductions,
     verify_count_recurrences,
+    verify_hexagon,
     verify_poly_recurrences,
 )
 
@@ -100,7 +89,7 @@ def zigzag_sweep():
         for family, barred in (("R", False), ("Rbar", True)):
             lo = min_x(l, q, barred)
             for x in range(lo, lo + 4):
-                region = (r_bar_region if barred else r_region)(l, q, x)
+                region = build_region(family, l, q, x)
                 rows.append(
                     dict(
                         family=family, l=l, q=q, x=x, region=region,
@@ -117,23 +106,9 @@ def zigzag_sweep():
 @pytest.fixture(scope="module")
 def hexagon_sweep():
     """Every valid single- and double-window placement for a,b <= 6, k <= 3,
-    together with the whole and piece counts and the cut."""
+    with the formula, factorization and pieces reports of its one check."""
     started = time.perf_counter()
-    rows = []
-    for params, ws in hexagon_placements(6, 6, 3):
-        cp, cws = canonical_hexagon(params, ws)
-        region, family, l, q = windowed_hexagon(cp, cws)
-        cut = symmetry_axis_cut(region)
-        rows.append(
-            dict(
-                instance=hexagon_instance(params, ws),
-                params=cp, family=family, l=l, q=q,
-                region=region, cut=cut,
-                whole=count_oracle(region),
-                plus=count_oracle(cut.plus),
-                minus=count_oracle(cut.minus),
-            )
-        )
+    rows = [list(verify_hexagon(params, ws)) for params, ws in hexagon_placements(6, 6, 3)]
     assert len(rows) == 1725
     return rows, time.perf_counter() - started
 
@@ -169,54 +144,28 @@ def test_acceptance_2_three_counting_methods_agree(zigzag_sweep):
 def test_acceptance_3_hexagon_product_formula(hexagon_sweep):
     rows, sweep_elapsed = hexagon_sweep
     started = time.perf_counter() - sweep_elapsed
+    # count * 2**-width = P(plus) * P(minus): the first report of each check
     for params, ws in FIGURE_HEXAGONS:
-        cp, cws = canonical_hexagon(params, ws)
-        region, family, l, q = windowed_hexagon(cp, cws)
-        cut = symmetry_axis_cut(region)
-        plus, minus = expected_cut_pieces(family, l, q, cp.a, cp.k)
-        lhs = count_oracle(region) / 2**cut.width
-        rhs = family_poly(*plus) * family_poly(*minus)
-        assert lhs == rhs, (params, ws)
-    for row in rows:
-        plus, minus = expected_cut_pieces(
-            row["family"], row["l"], row["q"], row["params"].a, row["params"].k
-        )
-        lhs = row["whole"] / 2 ** row["cut"].width
-        rhs = family_poly(*plus) * family_poly(*minus)
-        assert lhs == rhs, row["instance"]
+        formula = next(verify_hexagon(params, ws))
+        assert formula.match, formula.line()
+    for formula, _, _ in rows:
+        assert formula.match, formula.line()
     _report(3, "hexagon family product formula", started, budget=900)
 
 
 def test_acceptance_4_factorization_and_cut_pieces(hexagon_sweep):
     rows, _ = hexagon_sweep
     started = time.perf_counter()
-    for row in rows:
-        cut = row["cut"]
-        assert row["whole"] == 2**cut.width * row["plus"] * row["minus"], row["instance"]
-        plus, minus = expected_cut_pieces(
-            row["family"], row["l"], row["q"], row["params"].a, row["params"].k
-        )
-        for got, want, got_count in (
-            (cut.plus, plus, row["plus"]),
-            (cut.minus, minus, row["minus"]),
-        ):
-            expect = (r_region if want[0] == "R" else r_bar_region)(want[1], want[2], want[3])
-            got_core, got_factor, _ = eliminate_forced(got)
-            want_core, want_factor, _ = eliminate_forced(expect)
-            assert congruent(got_core, want_core), row["instance"]
-            assert got_factor == want_factor, row["instance"]
-            assert got_count == family_poly(*want), row["instance"]
+    # M = 2**width * M(plus) * M(minus); each piece, with its forced lozenges
+    # removed, is congruent to its predicted member, with the same forced
+    # factor, and counts its polynomial
+    for _, factorization, pieces in rows:
+        assert factorization.match, factorization.line()
+        assert pieces.match, pieces.line()
     # the six illustrated reductions, pinned explicitly
     for params, ws in CAPTION_REDUCTIONS:
-        cp, cws = canonical_hexagon(params, ws)
-        region, family, l, q = windowed_hexagon(cp, cws)
-        cut = symmetry_axis_cut(region)
-        plus, minus = expected_cut_pieces(family, l, q, cp.a, cp.k)
-        for got, want in ((cut.plus, plus), (cut.minus, minus)):
-            expect = (r_region if want[0] == "R" else r_bar_region)(want[1], want[2], want[3])
-            got_core, _, _ = eliminate_forced(got)
-            want_core, _, _ = eliminate_forced(expect)
-            assert congruent(got_core, want_core)
+        *_, pieces = verify_hexagon(params, ws)
+        assert pieces.match, pieces.line()
     _report(4, "two-piece factorization and piece identification", started)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from lozenge.count import count_oracle
-from lozenge.lattice import Region, balance, congruent, eliminate_forced, symmetry_axis_cut
+from lozenge.lattice import Region, balance, congruent, symmetry_axis_cut
 from lozenge.regions import (
     HexParams,
     WindowSpec,
@@ -17,7 +17,7 @@ from lozenge.regions import (
     windowed_hexagon,
     zigzag_walk,
 )
-from lozenge.verify import expected_cut_pieces, nonempty_pairs
+from lozenge.verify import hexagon_sides, nonempty_pairs, verify_hexagon
 
 
 def test_index_list_helpers():
@@ -203,19 +203,11 @@ def test_cut_pieces_match_reduction_captions():
          ("R", (2, 3), (1, 3, 5), 3), ("Rbar", (1, 3, 5), (2,), 3)),
     ]
     for params, windows, want_plus, want_minus in cases:
-        region, family, l, q = windowed_hexagon(params, windows)
-        plus, minus = expected_cut_pieces(family, l, q, params.a, params.k)
-        assert plus == want_plus
-        assert minus == want_minus
-        cut = symmetry_axis_cut(region)
-        for got, want in ((cut.plus, plus), (cut.minus, minus)):
-            builder = r_region if want[0] == "R" else r_bar_region
-            expect = builder(want[1], want[2], want[3])
-            got_core, got_f, _ = eliminate_forced(got)
-            want_core, want_f, _ = eliminate_forced(expect)
-            assert congruent(got_core, want_core)
-            assert got_f == want_f
-            assert count_oracle(got) == count_oracle(expect)
+        sides = hexagon_sides(params, windows)
+        assert (sides.plus, sides.minus) == (want_plus, want_minus)
+        # congruent forced-free cores, equal forced factors, counts = polynomials
+        *_, pieces = verify_hexagon(params, windows)
+        assert pieces.match, pieces.line()
 
 
 def test_widths_count_label_slots():

@@ -148,6 +148,18 @@ def test_cli_verify_all_matches_golden_output(capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("target", ["theorem11", "factorization"])
+def test_cli_verify_hexagon_target_prints_its_golden_lines(capsys, target):
+    golden = (GOLDEN / "verify_all_e3_s1.txt").read_text(encoding="utf-8").splitlines()
+    hexagon_lines = [
+        line for line in golden if line.startswith(("RESULT H[", "RESULT factorization[H["))
+    ]
+    # theorem11 is the product formula report, the one with an lhs
+    want = [line for line in hexagon_lines if (" lhs=" in line) == (target == "theorem11")]
+    want.append(f"SUMMARY total={len(want)} mismatches=0")
+    assert main(["verify", "--target", target, "--max-entry", "3", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+
 def test_cli_render_formats(capsys, tmp_path):
     assert main(["render", "--family", "H", "--a", "1", "--b", "1", "--k", "0"]) == 0
     out = capsys.readouterr().out

@@ -2,20 +2,23 @@ from fractions import Fraction
 
 import pytest
 
+import lozenge.verify as V
+from lozenge.cli import main
 from lozenge.lattice import Region
 from lozenge.regions import HexParams, WindowSpec, hexagon, min_x, windowed_hexagon
 from lozenge.verify import (
     CountReport,
     check_reachability,
     frozen_edges,
+    hexagon_placements,
+    hexagon_sides,
     instance_children,
     nonempty_pairs,
     recurrence_terms,
     verify_boundary_reductions,
     verify_count_recurrences,
-    verify_cut_pieces,
     verify_factorization,
-    verify_hexagon_formula,
+    verify_hexagon,
     verify_increment_relations,
     verify_poly_recurrences,
     verify_region_formula,
@@ -45,7 +48,7 @@ def test_hexagon_formula_figure_instances():
           WindowSpec("DELTA", 2, 11), WindowSpec("DELTA", 2, 13)]),
     ]
     for params, windows in cases:
-        rep = verify_hexagon_formula(params, windows)
+        rep = next(verify_hexagon(params, windows))
         assert rep.match, rep.values
 
 
@@ -90,12 +93,51 @@ def test_factorization_examples():
     assert rep.match and rep.values["whole"] == 1
 
 
+CAPTION = HexParams(6, 5, 4), [WindowSpec("DELTA", 2, 0), WindowSpec("DELTA", 2, 8)]
+
+
 def test_cut_piece_reports():
-    rep = verify_cut_pieces(
-        HexParams(6, 5, 4), [WindowSpec("DELTA", 2, 0), WindowSpec("DELTA", 2, 8)]
-    )
+    *_, rep = verify_hexagon(*CAPTION)
+    assert rep.instance.endswith(":pieces")
     assert rep.match
     assert rep.values["plus.count"] == rep.values["plus.poly"]
+
+
+def test_broken_hexagon_engines_are_reported(monkeypatch):
+    def matches():
+        return tuple(rep.match for rep in verify_hexagon(*CAPTION))
+
+    assert matches() == (True, True, True)
+    poly = V.family_poly
+    monkeypatch.setattr(V, "family_poly", lambda *args: poly(*args) + 1)
+    assert matches() == (False, True, False)
+    monkeypatch.setattr(V, "family_poly", poly)
+
+    minus, count = hexagon_sides(*CAPTION).cut.minus, V.count_oracle
+    monkeypatch.setattr(V, "count_oracle", lambda r: count(r) + (r == minus))
+    assert matches() == (True, False, False)
+    monkeypatch.setattr(V, "count_oracle", count)
+
+    monkeypatch.setattr(V, "congruent", lambda r1, r2: False)
+    assert matches() == (True, True, False)
+
+
+def test_each_hexagon_region_is_counted_once(capsys, monkeypatch):
+    counted, count = [], V.count_oracle
+    monkeypatch.setattr(V, "count_oracle", lambda r: counted.append(r) or count(r))
+    placements = list(hexagon_placements(3, 2, 3))  # the CLI's default sweep
+    sides = [hexagon_sides(p, ws) for p, ws in placements]
+    regions = [(s.region, s.cut.plus, s.cut.minus) for s in sides]
+    for (p, ws), want in zip(placements, regions):
+        counted.clear()
+        assert all(rep.match for rep in verify_hexagon(p, ws))
+        assert counted == list(want)
+    # theorem11 stops after the formula report, before any piece is counted
+    for target, kept in (("theorem11", 1), ("factorization", 3)):
+        counted.clear()
+        assert main(["verify", "--target", target]) == 0
+        assert counted == [r for whole_and_pieces in regions for r in whole_and_pieces[:kept]]
+    capsys.readouterr()
 
 
 def test_report_line_format():
@@ -129,8 +171,6 @@ def test_frozen_edges_and_children_come_from_the_tables():
 
 
 def test_broken_recurrence_coefficients_are_reported(monkeypatch):
-    import lozenge.verify as V
-
     for name in ("coeff_C", "coeff_D"):
         good = getattr(V, name)
         monkeypatch.setattr(V, name, lambda *args, good=good: good(*args) + 1)
