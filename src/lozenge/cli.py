@@ -189,6 +189,9 @@ def cmd_cut(args) -> int:
     return 0
 
 
+VERIFY_TARGETS = ("theorem11", "prop21", "recurrences", "boundary", "poly", "increments", "factorization")
+
+
 def cmd_verify(args) -> int:
     reports = []
 
@@ -197,11 +200,7 @@ def cmd_verify(args) -> int:
             reports.append(rep)
             print(rep.line())
 
-    targets = (
-        ["theorem11", "prop21", "recurrences", "boundary", "poly", "increments", "factorization"]
-        if args.target == "all"
-        else [args.target]
-    )
+    targets = VERIFY_TARGETS if args.target == "all" else (args.target,)
     pair_args = dict(max_entry=args.max_entry, max_len=args.max_len)
     if "prop21" in targets:
         run(V.sweep_region_formula(x_extra=args.x_extra, **pair_args))
@@ -257,8 +256,7 @@ def main(argv=None) -> int:
     p_verify = subs.add_parser("verify", help="run identity sweeps")
     p_verify.add_argument(
         "--target",
-        choices=["theorem11", "prop21", "recurrences", "boundary", "poly",
-                 "increments", "factorization", "all"],
+        choices=[*VERIFY_TARGETS, "all"],
         default="all",
     )
     p_verify.add_argument("--max-entry", type=int, default=3)

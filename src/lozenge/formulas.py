@@ -311,15 +311,29 @@ def _need(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def coeff_C(k: int, l, q, x: int) -> Fraction:
-    """Upper-bump elimination coefficient for the plain family (m <= n)."""
+def _coeff_upper(k: int, l, q, x: int, shift: int) -> Fraction:
+    """Upper-bump coefficient; ``shift`` is 1 for the shifted family, 0 for the plain."""
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
     m, n = len(l), len(q)
     _need(1 <= k <= n, f"k={k} out of range 1..{n}")
     lm = l[-1] if l else 0
     top = x + lm + q[k - 1]
-    low = 2 * q[k - 1] + m - n
+    low = 2 * q[k - 1] + m - n + shift
     return Fraction(binomial(top, low)) + Fraction(binomial(top, low - 1), 2)
+
+
+def _coeff_lower(k: int, l, q, x: int, shift: int) -> Fraction:
+    """Lower-bump coefficient; ``shift`` is 1 for the plain family, 0 for the shifted."""
+    l, q = check_index_list(l, "l"), check_index_list(q, "q")
+    m, n = len(l), len(q)
+    _need(1 <= k <= m, f"k={k} out of range 1..{m}")
+    lm, lk = l[-1], l[k - 1]
+    return Fraction(binomial(x + lm + lk - m + n + shift, 2 * lk - m + n + shift))
+
+
+def coeff_C(k: int, l, q, x: int) -> Fraction:
+    """Upper-bump elimination coefficient for the plain family (m <= n)."""
+    return _coeff_upper(k, l, q, x, 0)
 
 
 def coeff_C_product(k: int, l, q, x: int) -> Fraction:
@@ -345,28 +359,14 @@ def coeff_C_product(k: int, l, q, x: int) -> Fraction:
 
 def coeff_D(k: int, l, q, x: int) -> Fraction:
     """Lower-bump elimination coefficient for the plain family (m > n)."""
-    l, q = check_index_list(l, "l"), check_index_list(q, "q")
-    m, n = len(l), len(q)
-    _need(1 <= k <= m, f"k={k} out of range 1..{m}")
-    lm = l[-1]
-    return Fraction(binomial(x + lm + l[k - 1] - m + n + 1, 2 * l[k - 1] - m + n + 1))
+    return _coeff_lower(k, l, q, x, 1)
 
 
 def coeff_barC(k: int, l, q, x: int) -> Fraction:
     """Upper-bump elimination coefficient for the shifted family (m < n)."""
-    l, q = check_index_list(l, "l"), check_index_list(q, "q")
-    m, n = len(l), len(q)
-    _need(1 <= k <= n, f"k={k} out of range 1..{n}")
-    lm = l[-1] if l else 0
-    top = x + lm + q[k - 1]
-    low = 2 * q[k - 1] + m - n + 1
-    return Fraction(binomial(top, low)) + Fraction(binomial(top, low - 1), 2)
+    return _coeff_upper(k, l, q, x, 1)
 
 
 def coeff_barD(k: int, l, q, x: int) -> Fraction:
     """Lower-bump elimination coefficient for the shifted family (m >= n)."""
-    l, q = check_index_list(l, "l"), check_index_list(q, "q")
-    m, n = len(l), len(q)
-    _need(1 <= k <= m, f"k={k} out of range 1..{m}")
-    lm = l[-1]
-    return Fraction(binomial(x + lm + l[k - 1] - m + n, 2 * l[k - 1] - m + n))
+    return _coeff_lower(k, l, q, x, 0)

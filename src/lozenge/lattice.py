@@ -229,28 +229,17 @@ def symmetry_axis_cut(r: Region) -> CutResult:
         raise ValueError("odd number of axis-crossed cells (region is untileable)")
     width = len(crossed) // 2
 
-    # group crossed cells into contiguous runs, tracking the side of the path
-    runs: list[tuple[list[Cell], bool]] = []  # (cells, path_on_right)
+    # walk the crossed cells top to bottom; the path changes sides at a gap
+    # of an odd number of rows (a gap of 0 rows never flips it)
+    side_of: dict[Cell, bool] = {}  # True: the path passes on the cell's right
     on_right = True
-    prev_row: int | None = None
-    current: list[Cell] = []
-    for cell in reversed(crossed):  # walk top to bottom
+    prev_row = crossed[-1][0] + 1 if crossed else 0
+    for cell in reversed(crossed):
         row = cell[0]
-        if prev_row is not None and row != prev_row - 1:
-            runs.append((current, on_right))
-            gap = prev_row - row - 1
-            if gap % 2:
-                on_right = not on_right
-            current = []
-        current.append(cell)
+        if (prev_row - row - 1) % 2:
+            on_right = not on_right
+        side_of[cell] = on_right
         prev_row = row
-    if current:
-        runs.append((current, on_right))
-
-    side_of: dict[Cell, bool] = {}
-    for cells_in_run, right in runs:
-        for cell in cells_in_run:
-            side_of[cell] = right
 
     plus_cells, minus_cells = set(), set()
     for cell in r.cells:

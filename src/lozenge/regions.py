@@ -8,7 +8,10 @@ Two groups of families live here:
 
 * ``hexagon``/``windowed_hexagon``: a hexagon with side lengths
   ``a, b+k, b, a+k, b, b+k`` (base ``a+k`` at the bottom, vertical mirror
-  axis), optionally with axis-symmetric triangular windows removed.
+  axis), optionally with axis-symmetric triangular windows removed.  One
+  pass validates a description and cuts its windows out; windows reaching
+  the hull are absorbed in one place, which also rejects a description
+  whose windows absorb the whole hexagon.
 * ``r_region``/``r_bar_region``: the simply connected regions carved out
   around two vertical zigzag paths through a lattice origin, parameterized
   by the labels of the selected bumps below (``l``) and above (``q``) plus
@@ -192,23 +195,26 @@ class WindowSpec:
         return rasterize(boundary)
 
 
-def _validate_windows(p: HexParams, windows: list[WindowSpec]) -> int:
-    """Check fit, disjointness, and the size/order bookkeeping.
+def _carve(p: HexParams, windows: list[WindowSpec]) -> tuple[Region, int]:
+    """Check fit, disjointness and the size/order bookkeeping, and cut the
+    windows out of the hexagon.
 
-    Returns the reference row for vertebra labeling (the hexagon base for
-    even imbalance, the odd window's base line for odd imbalance).
+    Returns the holey region and the reference row for vertebra labeling
+    (the hexagon base for even imbalance, the odd window's base line for
+    odd imbalance).
     """
-    hexa = hexagon(p)
+    hexa = hexagon(p).cells
     win_cells = []
     for w in windows:
         cs = w.cells(p.axis)
-        if not cs <= hexa.cells:
+        if not cs <= hexa:
             raise ValueError(f"window {w} does not fit inside the hexagon")
         win_cells.append(cs)
     for i in range(len(windows)):
         for j in range(i + 1, len(windows)):
             if win_cells[i] & win_cells[j]:
                 raise ValueError(f"windows {windows[i]} and {windows[j]} overlap")
+    holey = Region(hexa.difference(*win_cells))
 
     odd_windows = [w for w in windows if not w.even]
     if p.k % 2 == 0:
@@ -218,7 +224,7 @@ def _validate_windows(p: HexParams, windows: list[WindowSpec]) -> int:
             raise ValueError("even imbalance admits DELTA windows only")
         if sum(w.size for w in windows) != p.k:
             raise ValueError(f"window sizes {[w.size for w in windows]} must total k={p.k}")
-        return 0
+        return holey, 0
     if len(odd_windows) != 1:
         raise ValueError("odd imbalance needs exactly one odd window")
     odd = odd_windows[0]
@@ -236,7 +242,7 @@ def _validate_windows(p: HexParams, windows: list[WindowSpec]) -> int:
                 raise ValueError(f"even DELTA window {w} must lie above the odd window")
         elif w.row_hi >= odd.row_lo:
             raise ValueError(f"even NABLA window {w} must lie below the odd window")
-    return odd.base_row
+    return holey, odd.base_row
 
 
 def _canonical_params(
@@ -248,8 +254,9 @@ def _canonical_params(
     the flanking top strips, so removing the forced tiles leaves the
     hexagon with a longer top side and a smaller imbalance; dually for a
     NABLA window whose apex sits on the base.  If the imbalance goes
-    negative the whole picture is rotated by a half turn.  Family and
-    labels are only meaningful for the canonical parameters.
+    negative the whole picture is rotated by a half turn.  The loop runs to
+    a fixpoint, so its result is canonical.  Raises ``ValueError`` when the
+    windows absorb the whole hexagon (``b + k`` reaches 0).
     """
     a, b, k = p.a, p.b, p.k
     ws = list(windows)
@@ -280,18 +287,22 @@ def _canonical_params(
                 for v in ws
             ]
             changed = True
+    if b + k == 0:
+        raise ValueError(
+            f"hexagon {p} with windows {list(windows)} is degenerate: "
+            "its windows absorb the whole hexagon"
+        )
     return HexParams(a, b, k), ws
 
 
 def canonical_hexagon(
     p: HexParams, windows: list[WindowSpec]
 ) -> tuple[HexParams, list[WindowSpec]]:
-    """Validate and fully canonicalize a windowed-hexagon description."""
-    _validate_windows(p, windows)
-    cp, cws = _canonical_params(p, windows)
-    if (cp, cws) == (p, list(windows)):
-        return cp, cws
-    return canonical_hexagon(cp, cws)
+    """Validate a windowed-hexagon description once and return its canonical
+    parameters and windows; raises ``ValueError`` for an invalid description
+    and for one whose windows absorb the whole hexagon."""
+    _carve(p, windows)
+    return _canonical_params(p, windows)
 
 
 def windowed_hexagon(
@@ -307,28 +318,21 @@ def windowed_hexagon(
     an odd DELTA window and ``Hbar_lq`` for an odd NABLA window, and the
     labels count from the odd window's base line.  Vertebra labels are
     read off before forced lozenges are removed, relative to the canonical
-    parameters (windows whose apex lies on the hull are absorbed first).
+    parameters (windows whose apex lies on the hull are absorbed first, and
+    a description that changes is carved again in canonical form).  Raises
+    ``ValueError`` as :func:`canonical_hexagon` does, and for no tilings.
     """
-    reference = _validate_windows(p, windows)
+    holey, reference = _carve(p, windows)
     cp, cws = _canonical_params(p, windows)
     if (cp, cws) != (p, list(windows)):
-        return windowed_hexagon(cp, cws)
+        holey, reference = _carve(cp, cws)
 
-    k = p.k
-    family = "H_l"
-    if k % 2:
-        odd = next(w for w in windows if not w.even)
-        family = "H_lq" if odd.kind == "DELTA" else "Hbar_lq"
-
-    removed = set()
-    for w in windows:
-        removed |= w.cells(p.axis)
-    holey = Region(hexagon(p).cells - removed)
-
-    below, above = vertebra_labels(holey, reference, row_span=(0, p.nrows - 1))
-    if k % 2 == 0:
-        l, q = above, ()
+    below, above = vertebra_labels(holey, reference, row_span=(0, cp.nrows - 1))
+    if cp.k % 2 == 0:
+        family, l, q = "H_l", above, ()
     else:
+        odd = next(w for w in cws if not w.even)
+        family = "H_lq" if odd.kind == "DELTA" else "Hbar_lq"
         l, q = below, above
 
     final, factor, untileable = eliminate_forced(holey)

@@ -1,5 +1,9 @@
+from collections import Counter
+from itertools import combinations, product
+
 import pytest
 
+from lozenge import regions
 from lozenge.count import count_oracle
 from lozenge.lattice import Region, balance, congruent, symmetry_axis_cut
 from lozenge.regions import (
@@ -17,7 +21,7 @@ from lozenge.regions import (
     windowed_hexagon,
     zigzag_walk,
 )
-from lozenge.verify import hexagon_sides, nonempty_pairs, verify_hexagon
+from lozenge.verify import hexagon_placements, hexagon_sides, nonempty_pairs, verify_hexagon
 
 
 def test_index_list_helpers():
@@ -178,6 +182,102 @@ def test_window_apex_on_hull_is_absorbed():
     assert congruent(reg, hexagon(HexParams(4, 2, 0)))
     cp, cws = canonical_hexagon(HexParams(2, 2, 2), [WindowSpec("DELTA", 2, 4)])
     assert (cp, cws) == (HexParams(4, 2, 0), [])
+
+
+DEGENERATE = "absorb the whole hexagon"
+
+
+def test_windows_that_absorb_the_whole_hexagon_are_rejected():
+    # the window is valid, but absorbing it leaves b + k = 0
+    p, ws = HexParams(2, 0, 1), [WindowSpec("DELTA", 1, 0)]
+    for build in (canonical_hexagon, windowed_hexagon):
+        with pytest.raises(ValueError, match=DEGENERATE) as err:
+            build(p, ws)
+        assert str(p) in str(err.value)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of hexagon builds and canonicalizations inside lozenge.regions."""
+    counts = Counter()
+    for name in ("hexagon", "_canonical_params"):
+        def counted(*args, _inner=getattr(regions, name), _name=name):
+            counts[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(regions, name, counted)
+    return counts
+
+
+def _raw_placements(max_side: int):
+    """Every hexagon with a, b, k <= max_side (b = 0 included) with at most
+    two windows, each lattice-symmetric and inside the hexagon."""
+    for a, b, k in product(range(1, max_side + 1), range(max_side + 1), range(max_side + 1)):
+        if b + k == 0:
+            continue
+        p = HexParams(a, b, k)
+        hexa = hexagon(p).cells
+        fits = []
+        for kind, size, row in product(("DELTA", "NABLA"), range(1, p.nrows + 1), range(p.nrows + 1)):
+            if (row - p.axis - size) % 2 == 0:
+                w = WindowSpec(kind, size, row)
+                if w.cells(p.axis) <= hexa:
+                    fits.append(w)
+        yield p, []
+        for w in fits:
+            yield p, [w]
+        for pair in combinations(fits, 2):
+            yield p, list(pair)
+
+
+def test_only_the_given_placement_is_validated(calls):
+    # canonicalization runs to a fixpoint, so a valid placement's canonical
+    # form is valid and canonical unless its windows absorb the hexagon
+    valid = changed = degenerate = 0
+    for p, ws in _raw_placements(3):
+        try:
+            regions._carve(p, ws)
+        except ValueError:
+            continue
+        valid += 1
+        calls.clear()
+        try:
+            cp, cws = canonical_hexagon(p, ws)
+        except ValueError as exc:
+            assert DEGENERATE in str(exc), (p, ws)
+            cp = None
+        assert calls == Counter(hexagon=1, _canonical_params=1), (p, ws)
+        if cp is None:
+            degenerate += 1
+            continue
+        regions._carve(cp, cws)
+        assert regions._canonical_params(cp, cws) == (cp, cws), (p, ws)
+        moved = (cp, cws) != (p, ws)
+        changed += moved
+
+        calls.clear()
+        got = windowed_hexagon(p, ws)
+        assert calls == Counter(hexagon=1 + moved, _canonical_params=1), (p, ws)
+        assert got == windowed_hexagon(cp, cws), (p, ws)
+    assert (valid, changed, degenerate) == (145, 42, 4)
+
+
+def test_hexagon_builds_per_placement(calls):
+    placements = list(hexagon_placements(3, 2, 3))
+    changed = 0
+    for p, ws in placements:
+        calls.clear()
+        hexagon_sides(p, ws)
+        assert calls["hexagon"] <= 2, (p, ws)
+        cp, cws = canonical_hexagon(p, ws)
+        changed += (cp, cws) != (p, ws)
+        calls.clear()
+        windowed_hexagon(cp, cws)
+        assert calls == Counter(hexagon=1, _canonical_params=1), (p, ws)
+        calls.clear()
+        windowed_hexagon(p, ws)
+        assert calls["hexagon"] <= 2 and calls["_canonical_params"] == 1, (p, ws)
+    assert (len(placements), changed) == (62, 17)
 
 
 def test_cut_pieces_match_reduction_captions():

@@ -127,6 +127,13 @@ def test_cli_untileable_windowed_hexagon_exits_2(capsys, monkeypatch):
     assert "no tilings" in capsys.readouterr().err
 
 
+def test_cli_windows_absorbing_the_whole_hexagon_exit_2(capsys):
+    assert main(["count", "--family", "H", "--a", "2", "--b", "0", "--k", "1",
+                 "--window", "D:1@0"]) == 2
+    err = capsys.readouterr().err
+    assert "HexParams(a=2, b=0, k=1)" in err and "absorb the whole hexagon" in err
+
+
 def test_cli_formula_values(capsys):
     assert main(["formula", "--which", "c", "--l", "1", "--q", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1/8"
