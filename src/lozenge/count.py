@@ -29,7 +29,7 @@ from math import comb
 
 from .exact import RationalMatrix, determinant
 from .lattice import Cell, Loz, Region, balance, is_up, lozenge
-from .regions import IndexList, Vertex, ZigzagWalk, zigzag_walk
+from .regions import IndexList, Vertex, zigzag_walk
 
 SOUTHWEST = "southwest"
 NORTHWEST = "northwest"
@@ -310,18 +310,27 @@ class PathEndpoints:
         return len(self.starts)
 
 
-def _path_matrix(walkdata: ZigzagWalk, side: str) -> tuple[PathEndpoints, RationalMatrix]:
+def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, RationalMatrix]:
     """Single-path generating functions between boundary segments.
 
-    Southwestern encoding: segments are southwest-facing edges keyed
-    (va, vb); a path steps east to (va+1, vb) across the flat lozenge on
-    cells ((vb, 2va+1), (vb, 2va+2)) or northeast to (va, vb+1) across the
-    standing lozenge on cells ((vb, 2va+1), (vb+1, 2va)).  Northwestern
-    encoding: segments are northwest-facing edges; a path steps east to
-    (va+1, vb) across cells ((vb, 2va), (vb, 2va+1)) or southeast to
-    (va+1, vb-1) across ((vb, 2va), (vb-1, 2va+1)).  Either way the
-    segment coordinates only grow in a fixed lexicographic order, so one
-    sorted sweep of the segments is a topological order for every start.
+    Southwestern encoding: segment (va, vb) is the edge between the up cell
+    (vb, 2va) and the down cell (vb, 2va+1); a path steps east to
+    (va+1, vb) across the flat lozenge on cells ((vb, 2va+1), (vb, 2va+2))
+    or northeast to (va, vb+1) across the standing lozenge on cells
+    ((vb, 2va+1), (vb+1, 2va)).  Northwestern encoding: segment (va, vb) is
+    the edge between the down cell (vb, 2va-1) and the up cell (vb, 2va); a
+    path steps east to (va+1, vb) across cells ((vb, 2va), (vb, 2va+1)) or
+    southeast to (va+1, vb-1) across ((vb, 2va), (vb-1, 2va+1)).  Either
+    way the segment coordinates only grow in a fixed lexicographic order,
+    so one sorted sweep of the segments is a topological order for every
+    start.
+
+    The endpoints are read off the cells.  Call the cell a path leaves a
+    segment through (the down cell southwest, the up cell northwest) its
+    pivot.  A path starts at a segment whose pivot is the only one of its
+    two cells in the region, and ends at one whose other cell is.  Starts
+    and ends run bottom to top on the southwestern side and top to bottom
+    on the northwestern.
 
     The sweep runs once for all start segments: each segment carries one
     Python int per start, the sum over paths of the product of doubled
@@ -331,15 +340,13 @@ def _path_matrix(walkdata: ZigzagWalk, side: str) -> tuple[PathEndpoints, Ration
     steps(u), and the (u, v) entry is the integer sum divided by
     2**(steps(v) - steps(u)).
     """
-    region = walkdata.region
     cells = region.cells
     half = region.half
     # transitions(seg) yields (mate cell, sorted lozenge position, next segment)
     if side == SOUTHWEST:
-        starts = tuple(walkdata.sw_side)
-        ends = tuple(reversed(walkdata.right_se))
         order_key = lambda seg: seg
         steps = lambda seg: seg[0] + seg[1]
+        row_order = lambda seg: seg[1]
         def transitions(seg: Vertex):
             va, vb = seg
             pivot = (vb, 2 * va + 1)
@@ -348,10 +355,9 @@ def _path_matrix(walkdata: ZigzagWalk, side: str) -> tuple[PathEndpoints, Ration
                 yield east, (pivot, east), (va + 1, vb)
                 yield northeast, (pivot, northeast), (va, vb + 1)
     else:
-        starts = tuple(walkdata.nw_side)
-        ends = tuple(walkdata.right_sw)
         order_key = lambda seg: (seg[0], -seg[1])
         steps = lambda seg: seg[0]
+        row_order = lambda seg: -seg[1]
         def transitions(seg: Vertex):
             va, vb = seg
             pivot = (vb, 2 * va)
@@ -360,15 +366,24 @@ def _path_matrix(walkdata: ZigzagWalk, side: str) -> tuple[PathEndpoints, Ration
                 yield east, (pivot, east), (va + 1, vb)
                 yield southeast, (southeast, pivot), (va + 1, vb - 1)
 
-    # all segments with an outgoing move, plus every endpoint; both moves
-    # strictly increase the order key, so one sorted sweep is a valid
-    # topological order
-    universe: set[Vertex] = set(starts) | set(ends)
-    for row_, col_ in cells:
-        if side == SOUTHWEST and col_ % 2 == 1:
-            universe.add(((col_ - 1) // 2, row_))
-        elif side == NORTHWEST and col_ % 2 == 0:
-            universe.add((col_ // 2, row_))
+    # the segment west of each pivot cell, which may move on, plus the ends;
+    # both moves strictly increase the order key, so one sorted sweep is a
+    # valid topological order
+    pivot_parity = 1 if side == SOUTHWEST else 0
+    universe: set[Vertex] = set()
+    starts: list[Vertex] = []
+    ends: list[Vertex] = []
+    for row, col in cells:
+        if col % 2 == pivot_parity:
+            seg = (col // 2, row)
+            universe.add(seg)
+            if (row, col - 1) not in cells:
+                starts.append(seg)
+        elif (row, col + 1) not in cells:
+            ends.append(((col + 1) // 2, row))
+    universe.update(ends)
+    starts.sort(key=row_order)
+    ends.sort(key=row_order)
     order = sorted(universe, key=order_key)
 
     n = len(starts)
@@ -401,7 +416,7 @@ def _path_matrix(walkdata: ZigzagWalk, side: str) -> tuple[PathEndpoints, Ration
             Fraction(col[i], 1 << (steps(v) - su)) if col[i] else zero
             for v, col in zip(ends, columns)
         ])
-    return PathEndpoints(side, starts, ends), RationalMatrix(rows)
+    return PathEndpoints(side, tuple(starts), tuple(ends)), RationalMatrix(rows)
 
 
 def gv_matrix(
@@ -412,16 +427,14 @@ def gv_matrix(
         raise ValueError(f"family must be 'R' or 'Rbar', got {family!r}")
     if side not in (SOUTHWEST, NORTHWEST):
         raise ValueError(f"side must be southwest or northwest, got {side!r}")
-    walkdata = zigzag_walk(l, q, x, barred=family == "Rbar")
-    return _path_matrix(walkdata, side)
+    return _path_matrix(zigzag_walk(l, q, x, barred=family == "Rbar"), side)
 
 
 def count_gv(
     r: Region, l: IndexList, q: IndexList, x: int, family: str, side: str = SOUTHWEST
 ) -> Fraction:
     """Weighted tiling count as a determinant of path generating functions."""
-    walkdata = zigzag_walk(l, q, x, barred=family == "Rbar")
-    if walkdata.region != r:
+    if zigzag_walk(l, q, x, barred=family == "Rbar") != r:
         raise ValueError("region does not match the given family parameters")
     _, matrix = gv_matrix(l, q, x, family, side)
     return determinant(matrix)

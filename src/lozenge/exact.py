@@ -51,10 +51,6 @@ class RationalMatrix:
         # Fractions are immutable, so entries that already are one are kept
         self.entries = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in entries]
 
-    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
-        r, c = rc
-        return self.entries[r][c]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalMatrix) and self.entries == other.entries
 

@@ -200,13 +200,6 @@ class PartitionShape:
     parts: tuple[int, ...]  # weakly decreasing, zero parts dropped
     nrows: int
 
-    @property
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
-
-    def size(self) -> int:
-        return sum(self.parts)
-
     def cells(self) -> list[tuple[int, int]]:
         rising = sorted(self.parts) + [0] * (self.nrows - len(self.parts))
         rising = sorted(rising)

@@ -274,7 +274,7 @@ def symmetry_axis_cut(r: Region) -> CutResult:
 
 
 def vertebra_labels(
-    r: Region, reference_row: int, row_span: tuple[int, int] | None = None
+    r: Region, reference_row: int, row_span: tuple[int, int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Label axis vertebrae below and above a horizontal reference line.
 
@@ -284,17 +284,13 @@ def vertebra_labels(
     merely removed is a dangling leftover and is not a vertebra at all.
     Vertebrae wholly on one side of the line get labels 1, 2, ... starting
     nearest the line; a triangular vertebra sitting directly on the line is
-    skipped.  ``row_span`` defaults to the region's own row range.
+    skipped.  ``row_span`` is the ambient (lowest, highest) row.
     """
     p = mirror_axis(r)
     present = set(crossed_cells(r, p))
     if not present:
         return (), ()
-    if row_span is None:
-        row_lo = min(row for row, _ in r.cells)
-        row_hi = max(row for row, _ in r.cells)
-    else:
-        row_lo, row_hi = row_span
+    row_lo, row_hi = row_span
 
     # classify present crossed cells into vertebrae by pair anchor r0 == p (mod 2)
     present_anchor: dict[int, tuple[int, int]] = {}  # anchor -> clipped row interval

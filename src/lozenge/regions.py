@@ -21,7 +21,7 @@ Two groups of families live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lattice import Cell, Loz, Region, eliminate_forced, lozenge, vertebra_labels
 
@@ -348,24 +348,6 @@ def windowed_hexagon(
 # the zigzag-anchored families
 
 
-@dataclass(frozen=True)
-class ZigzagWalk:
-    """A constructed region plus the boundary bookkeeping the counting needs.
-
-    Segment lists use vertex pairs keyed as in :mod:`lozenge.count`:
-    ``sw_side`` are the region's lower-left boundary edges bottom to top,
-    ``right_se``/``right_sw`` the SE- and SW-direction edges of the right
-    boundary in top-to-bottom order, ``nw_side`` the upper-left boundary
-    edges top to bottom.
-    """
-
-    region: Region
-    sw_side: list[Vertex] = field(default_factory=list)
-    right_se: list[Vertex] = field(default_factory=list)
-    nw_side: list[Vertex] = field(default_factory=list)
-    right_sw: list[Vertex] = field(default_factory=list)
-
-
 def _zigzag_bounds(l: IndexList, q: IndexList, barred: bool) -> int:
     m, n = len(l), len(q)
     lm = l[-1] if l else 0
@@ -382,13 +364,13 @@ def min_x(l, q, barred: bool = False) -> int:
     return _zigzag_bounds(check_index_list(l, "l"), check_index_list(q, "q"), barred)
 
 
-def zigzag_walk(l, q, x: int, barred: bool) -> ZigzagWalk:
-    """Build a zigzag-anchored region together with its boundary segments."""
+def zigzag_walk(l, q, x: int, barred: bool) -> Region:
+    """Build a zigzag-anchored region by walking its boundary."""
     l = check_index_list(l, "l")
     q = check_index_list(q, "q")
     m, n = len(l), len(q)
     if m == 0 and n == 0:
-        return ZigzagWalk(Region())
+        return Region()
     lo = _zigzag_bounds(l, q, barred)
     if x < lo:
         raise ValueError(f"x={x} below the least admissible value {lo}")
@@ -454,31 +436,14 @@ def zigzag_walk(l, q, x: int, barred: bool) -> ZigzagWalk:
             raise AssertionError(f"selected bump {qi} fell outside the region")
         half.add(pos)
 
-    # boundary segments for the nonintersecting-path encodings
-    def seg_edges(part: list[Vertex], keep: tuple[int, int]) -> list[Vertex]:
-        # (min va, min vb) over the edge's two ends: its start moved by the
-        # negative components of the step
-        da, db = min(keep[0], 0), min(keep[1], 0)
-        out = []
-        for (va1, vb1), (va2, vb2) in zip(part, part[1:]):
-            if (va2 - va1, vb2 - vb1) == keep:
-                out.append((va1 + da, vb1 + db))
-        return out
-
-    return ZigzagWalk(
-        Region(cells, frozenset(half)),
-        sw_side=seg_edges(sw_part, NW),
-        right_se=seg_edges(right_part, SE),
-        nw_side=list(reversed(seg_edges(nw_part, NE))),
-        right_sw=seg_edges(right_part, SW),
-    )
+    return Region(cells, frozenset(half))
 
 
 def r_region(l, q, x: int) -> Region:
     """Member of the plain zigzag family (connector through the origin)."""
-    return zigzag_walk(l, q, x, barred=False).region
+    return zigzag_walk(l, q, x, barred=False)
 
 
 def r_bar_region(l, q, x: int) -> Region:
     """Member of the shifted family (connector one step southwest)."""
-    return zigzag_walk(l, q, x, barred=True).region
+    return zigzag_walk(l, q, x, barred=True)

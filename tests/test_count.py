@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lozenge.count import (
     NORTHWEST,
     SOUTHWEST,
+    PathEndpoints,
     _frontier_sum,
     _scan_plan,
     _scan_steps,
@@ -296,12 +297,11 @@ def test_gv_matrix_determinant_is_side_independent():
     assert determinant(m_sw) == determinant(m_nw) == count_oracle(reg)
 
 
-def reference_path_matrix(l, q, x, family, side) -> RationalMatrix:
+def reference_path_matrix(region: Region, ep: PathEndpoints) -> RationalMatrix:
     """One Fraction sweep of the segment universe per start segment."""
-    walkdata = zigzag_walk(l, q, x, barred=family == "Rbar")
-    cells, half = walkdata.region.cells, walkdata.region.half
-    if side == SOUTHWEST:
-        starts, ends = walkdata.sw_side, list(reversed(walkdata.right_se))
+    cells, half = region.cells, region.half
+    starts, ends = ep.starts, ep.ends
+    if ep.side == SOUTHWEST:
         order_key = lambda seg: seg
 
         def transitions(va, vb):
@@ -312,7 +312,6 @@ def reference_path_matrix(l, q, x, family, side) -> RationalMatrix:
 
         tails = {((col - 1) // 2, row) for row, col in cells if col % 2}
     else:
-        starts, ends = walkdata.nw_side, walkdata.right_sw
         order_key = lambda seg: (seg[0], -seg[1])
 
         def transitions(va, vb):
@@ -346,8 +345,8 @@ def test_gv_matrix_equals_per_start_reference_sweep():
             lo = min_x(l, q, barred)
             for x in (lo, lo + 1):
                 for side in (SOUTHWEST, NORTHWEST):
-                    _, matrix = gv_matrix(l, q, x, family, side)
-                    want = reference_path_matrix(l, q, x, family, side)
+                    ep, matrix = gv_matrix(l, q, x, family, side)
+                    want = reference_path_matrix(zigzag_walk(l, q, x, barred), ep)
                     assert matrix == want, (family, l, q, x, side)
                     checked += 1
     assert checked == 4 * 2 * (7 * 7 - 1)

@@ -171,7 +171,7 @@ def test_vertebra_labels_after_windows():
 
 
 def test_vertebra_labels_empty_axis():
-    below, above = vertebra_labels(Region(), 0)
+    below, above = vertebra_labels(Region(), 0, (0, 0))
     assert below == () and above == ()
 
 

@@ -4,7 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from lozenge import regions
-from lozenge.count import count_oracle
+from lozenge.count import NORTHWEST, SOUTHWEST, count_oracle, gv_matrix
 from lozenge.lattice import Region, balance, congruent, symmetry_axis_cut
 from lozenge.regions import (
     HexParams,
@@ -99,25 +99,33 @@ def test_zigzag_rejects_x_below_bound():
 
 @pytest.mark.parametrize("barred", [False, True])
 def test_zigzag_regions_balance_and_side_lengths(barred):
+    family = "Rbar" if barred else "R"
     for l, q in nonempty_pairs(4, 2):
         m, n = len(l), len(q)
         lm = l[-1] if l else 0
         lo = min_x(l, q, barred)
         for x in (lo, lo + 2):
-            walk = zigzag_walk(l, q, x, barred)
-            assert balance(walk.region) == 0
-            want_sw = 2 * lm - m + n + (1 if (l and not barred) else 0)
-            assert len(walk.sw_side) == want_sw
-            assert len(walk.right_se) == want_sw
-            assert len(walk.region.half) == n
+            region = zigzag_walk(l, q, x, barred)
+            assert balance(region) == 0
+            assert len(region.half) == n
+            sw, _ = gv_matrix(l, q, x, family, SOUTHWEST)
+            nw, _ = gv_matrix(l, q, x, family, NORTHWEST)
+            assert len(sw.starts) == len(sw.ends) == 2 * lm - m + n + (1 if (l and not barred) else 0)
+            assert len(nw.starts) == len(nw.ends)
+            # at most one start and one end per row, bottom to top southwest
+            # and top to bottom northwest
+            for segs in (sw.starts, sw.ends):
+                assert all(u[1] < v[1] for u, v in zip(segs, segs[1:]))
+            for segs in (nw.starts, nw.ends):
+                assert all(u[1] > v[1] for u, v in zip(segs, segs[1:]))
 
 
 def test_half_positions_sit_at_upper_bumps():
-    walk = zigzag_walk((2, 4, 5), (2, 4), 2, barred=False)
+    region = r_region((2, 4, 5), (2, 4), 2)
     expected = {
         tuple(sorted(((2 * qi - 2, -2 * qi + 1), (2 * qi - 1, -2 * qi)))) for qi in (2, 4)
     }
-    assert walk.region.half == frozenset(expected)
+    assert region.half == frozenset(expected)
 
 
 def test_windowed_hexagon_families_and_labels():

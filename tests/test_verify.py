@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -195,3 +196,20 @@ def test_window_placements_respect_bookkeeping():
     for ws in window_placements(HexParams(4, 2, 2), 2):
         windowed_hexagon(HexParams(4, 2, 2), ws)
     assert list(window_placements(HexParams(3, 3, 0), 2)) == [[]]
+
+
+def test_window_pairs_are_the_disjoint_pairs_of_fitting_windows():
+    # k = 6 splits only into even DELTA windows of sizes 2 and 4 on one
+    # axis: the pairs listed are exactly those whose cells do not meet
+    p = HexParams(3, 3, 6)
+    hexa = hexagon(p).cells
+
+    def fitting(size):
+        tops = range(p.nrows - size + 1)
+        ws = [WindowSpec("DELTA", size, t) for t in tops if (t - p.axis - size) % 2 == 0]
+        return [w for w in ws if w.cells(p.axis) <= hexa]
+
+    candidates = list(product(fitting(2), fitting(4)))
+    want = [[w1, w2] for w1, w2 in candidates if not w1.cells(p.axis) & w2.cells(p.axis)]
+    pairs = [ws for ws in window_placements(p, 2) if len(ws) == 2]
+    assert pairs == want and 0 < len(pairs) < len(candidates)
