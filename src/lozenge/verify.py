@@ -46,7 +46,6 @@ from .regions import (
     canonical_hexagon,
     check_index_list,
     decrement,
-    hexagon,
     increment,
     min_x,
     omit,
@@ -573,73 +572,69 @@ def sweep_increment_relations(count=20, seed=0):
         yield verify_increment_relations(l, q, k, rng.randint(1, 5), which)
 
 
-def window_placements(p: HexParams, max_windows: int = 2):
-    """All valid window configurations with at most ``max_windows`` windows."""
-    hexa = hexagon(p)
-    k = p.k
-    nrows = p.nrows
+def _multisets(parts: list[tuple[int, str]], n: int, budget: int):
+    """Nondecreasing n-tuples of ``parts`` (listed by size) whose sizes
+    total at most ``budget``."""
+    if n == 0:
+        yield ()
+        return
+    for i, part in enumerate(parts):
+        if part[0] * n > budget:
+            return
+        for rest in _multisets(parts[i:], n - 1, budget - part[0]):
+            yield (part, *rest)
 
-    # the pair loops ask again for the same inner list, which rasterizes
-    # every candidate window
+
+def window_placements(p: HexParams, max_windows: int = 2):
+    """Every window set with at most ``max_windows`` windows that
+    :func:`lozenge.regions._carve` accepts, each exactly once.
+
+    The rule: even ``k`` takes even DELTA windows only; odd ``k`` takes
+    exactly one odd window, with even DELTA windows above it and even
+    NABLA windows below it; the DELTA total minus the NABLA total is
+    ``k``.  Axis windows meet iff their row ranges do, and a window fits
+    iff its rows lie in the hexagon and its base is no wider than the
+    hexagon at the base row.  Sets come by number of windows, then by the
+    sizes and kinds of the even windows, then by the odd window's kind
+    (DELTA first), then by position with the odd window outermost; with
+    odd ``k`` each set is listed top to bottom.
+    """
+    nrows, odd_k = p.nrows, p.k % 2
+
     @cache
     def positions(kind: str, size: int) -> list[WindowSpec]:
-        out = []
-        base_range = range(0, nrows - size + 1) if kind == "DELTA" else range(size, nrows + 1)
-        for t in base_range:
-            if (t - (p.axis + size)) % 2:
+        bases = range(nrows - size + 1) if kind == "DELTA" else range(size, nrows + 1)
+        # the hexagon is p.axis + min(t, b) - max(0, t - b) wide at height t
+        return [
+            WindowSpec(kind, size, t)
+            for t in bases
+            if (t - p.axis - size) % 2 == 0 and size <= p.axis + min(t, p.b) - max(0, t - p.b)
+        ]
+
+    def place(spec: tuple, placed: list[WindowSpec]):
+        if not spec:
+            yield sorted(placed, key=lambda w: -w.row_lo) if odd_k else placed
+            return
+        (size, kind), *rest = spec
+        last = placed[-1] if placed else None
+        for w in positions(kind, size):
+            if any(w.row_lo <= v.row_hi and v.row_lo <= w.row_hi for v in placed):
                 continue
-            w = WindowSpec(kind, size, t)
-            if w.cells(p.axis) <= hexa.cells:
-                out.append(w)
-        return out
+            if odd_k and placed and (kind == "DELTA") != (w.row_lo > placed[0].row_hi):
+                continue  # even DELTA above the odd window placed[0], even NABLA below
+            if last and (last.size, last.kind) == (size, kind) and w.base_row < last.base_row:
+                continue  # equal windows rise, so each set comes once
+            yield from place(rest, placed + [w])
 
-    if k % 2 == 0:
-        if k == 0:
-            yield []
-        if 2 <= k and max_windows >= 1:
-            for w in positions("DELTA", k):
-                yield [w]
-        if max_windows >= 2:
-            for s1 in range(2, k - 1, 2):
-                s2 = k - s1
-                if s2 < 2 or (s1 > s2):
-                    continue
-                for w1 in positions("DELTA", s1):
-                    for w2 in positions("DELTA", s2):
-                        # DELTA windows on one axis each cover the axis in
-                        # every row they span, so they meet iff their rows do
-                        if w1.row_lo <= w2.row_hi and w2.row_lo <= w1.row_hi:
-                            continue
-                        if s1 == s2 and w1.base_row >= w2.base_row:
-                            continue
-                        yield [w1, w2]
-        return
-
-    # odd imbalance: one odd window, evens above (DELTA) or below (NABLA)
-    if max_windows >= 1:
-        for w in positions("DELTA", k):
-            yield [w]
-    if max_windows < 2:
-        return
-    for s_e in range(2, nrows + 1, 2):
-        # even DELTA above an odd DELTA, sizes summing to k
-        s_o = k - s_e
-        if s_o >= 1 and s_o % 2 == 1:
-            for wo in positions("DELTA", s_o):
-                for we in positions("DELTA", s_e):
-                    if we.row_lo > wo.row_hi:
-                        yield [we, wo]
-        # even DELTA above an odd NABLA, difference k
-        s_o = s_e - k
-        if s_o >= 1 and s_o % 2 == 1:
-            for wo in positions("NABLA", s_o):
-                for we in positions("DELTA", s_e):
-                    if we.row_lo > wo.row_hi:
-                        yield [we, wo]
-        # odd DELTA above an even NABLA, difference k
-        s_o = s_e + k
-        if s_o % 2 == 1:
-            for wo in positions("DELTA", s_o):
-                for we in positions("NABLA", s_e):
-                    if we.row_hi < wo.row_lo:
-                        yield [wo, we]
+    kinds = ("DELTA", "NABLA") if odd_k else ("DELTA",)
+    parts = [(size, kind) for size in range(2, nrows + 1, 2) for kind in kinds]
+    for n in range(odd_k, max_windows + 1):
+        for evens in _multisets(parts, n - odd_k, nrows):
+            net = p.k - sum(size if kind == "DELTA" else -size for size, kind in evens)
+            if not odd_k:
+                if net == 0:
+                    yield from place(evens, [])
+                continue
+            for kind, size in (("DELTA", net), ("NABLA", -net)):
+                if size >= 1:
+                    yield from place(((size, kind), *evens), [])

@@ -1,15 +1,19 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 import pytest
 
 import lozenge.verify as V
 from lozenge.cli import main
 from lozenge.lattice import Region
-from lozenge.regions import HexParams, WindowSpec, hexagon, min_x, windowed_hexagon
+from lozenge.count import count_oracle
+from lozenge.regions import HexParams, WindowSpec, _carve, hexagon, min_x, windowed_hexagon
 from lozenge.verify import (
     CountReport,
     check_reachability,
+    hexagon_formula,
     frozen_edges,
     hexagon_placements,
     hexagon_sides,
@@ -213,3 +217,128 @@ def test_window_pairs_are_the_disjoint_pairs_of_fitting_windows():
     want = [[w1, w2] for w1, w2 in candidates if not w1.cells(p.axis) & w2.cells(p.axis)]
     pairs = [ws for ws in window_placements(p, 2) if len(ws) == 2]
     assert pairs == want and 0 < len(pairs) < len(candidates)
+
+
+def reference_window_placements(p: HexParams, max_windows: int = 2):
+    """The hand-written generator that listed the placements of at most two
+    windows, one case per window pattern, before the one-rule generator."""
+    hexa = hexagon(p)
+    k = p.k
+    nrows = p.nrows
+
+    # the pair loops ask again for the same inner list, which rasterizes
+    # every candidate window
+    @cache
+    def positions(kind: str, size: int) -> list[WindowSpec]:
+        out = []
+        base_range = range(0, nrows - size + 1) if kind == "DELTA" else range(size, nrows + 1)
+        for t in base_range:
+            if (t - (p.axis + size)) % 2:
+                continue
+            w = WindowSpec(kind, size, t)
+            if w.cells(p.axis) <= hexa.cells:
+                out.append(w)
+        return out
+
+    if k % 2 == 0:
+        if k == 0:
+            yield []
+        if 2 <= k and max_windows >= 1:
+            for w in positions("DELTA", k):
+                yield [w]
+        if max_windows >= 2:
+            for s1 in range(2, k - 1, 2):
+                s2 = k - s1
+                if s2 < 2 or (s1 > s2):
+                    continue
+                for w1 in positions("DELTA", s1):
+                    for w2 in positions("DELTA", s2):
+                        # DELTA windows on one axis each cover the axis in
+                        # every row they span, so they meet iff their rows do
+                        if w1.row_lo <= w2.row_hi and w2.row_lo <= w1.row_hi:
+                            continue
+                        if s1 == s2 and w1.base_row >= w2.base_row:
+                            continue
+                        yield [w1, w2]
+        return
+
+    # odd imbalance: one odd window, evens above (DELTA) or below (NABLA)
+    if max_windows >= 1:
+        for w in positions("DELTA", k):
+            yield [w]
+    if max_windows < 2:
+        return
+    for s_e in range(2, nrows + 1, 2):
+        # even DELTA above an odd DELTA, sizes summing to k
+        s_o = k - s_e
+        if s_o >= 1 and s_o % 2 == 1:
+            for wo in positions("DELTA", s_o):
+                for we in positions("DELTA", s_e):
+                    if we.row_lo > wo.row_hi:
+                        yield [we, wo]
+        # even DELTA above an odd NABLA, difference k
+        s_o = s_e - k
+        if s_o >= 1 and s_o % 2 == 1:
+            for wo in positions("NABLA", s_o):
+                for we in positions("DELTA", s_e):
+                    if we.row_lo > wo.row_hi:
+                        yield [we, wo]
+        # odd DELTA above an even NABLA, difference k
+        s_o = s_e + k
+        if s_o % 2 == 1:
+            for wo in positions("DELTA", s_o):
+                for we in positions("NABLA", s_e):
+                    if we.row_hi < wo.row_lo:
+                        yield [wo, we]
+
+
+def test_window_placements_equal_the_reference_up_to_two_windows():
+    checked = 0
+    for a, b, k in product(range(1, 10), range(10), range(9)):
+        if b + k < 1:
+            continue
+        p = HexParams(a, b, k)
+        for n in (0, 1, 2):
+            assert list(window_placements(p, n)) == list(reference_window_placements(p, n)), (p, n)
+        checked += len(list(window_placements(p, 2)))
+    assert checked == 35981
+
+
+def test_window_placements_are_every_set_carve_accepts():
+    # brute force: every set of at most three fitting axis windows, rasterized
+    valid = 0
+    for a, b, k in product(range(1, 4), range(1, 3), range(6)):
+        p = HexParams(a, b, k)
+        hexa = hexagon(p).cells
+        fitting = {}
+        for kind, size, t in product(("DELTA", "NABLA"), range(1, p.nrows + 1), range(p.nrows + 1)):
+            if (t - p.axis - size) % 2 == 0:
+                cells = WindowSpec(kind, size, t).cells(p.axis)
+                if cells <= hexa:
+                    fitting[WindowSpec(kind, size, t)] = cells
+        want = set()
+        for n in range(4):
+            for ws in combinations(fitting, n):
+                if any(fitting[v] & fitting[w] for v, w in combinations(ws, 2)):
+                    continue
+                try:
+                    _carve(p, list(ws))
+                except ValueError:
+                    continue
+                want.add(frozenset(ws))
+        got = Counter(frozenset(ws) for ws in window_placements(p, 3))
+        assert set(got) == want and set(got.values()) <= {1}, p
+        valid += len(want)
+    assert valid == 171
+
+
+def test_three_window_formula_equals_the_oracle():
+    checked = 0
+    for a, b, k in product(range(1, 4), range(1, 4), range(7)):
+        p = HexParams(a, b, k)
+        for ws in window_placements(p, 3):
+            if len(ws) == 3:
+                region = windowed_hexagon(p, ws)[0]
+                assert hexagon_formula(p, ws) == count_oracle(region), (p, ws)
+                checked += 1
+    assert checked == 191
