@@ -20,7 +20,15 @@ from .count import NORTHWEST, SOUTHWEST, count_gv, count_oracle
 from .exact import format_rational
 from .formulas import b_poly, bar_b_poly, bar_c_const, bar_p_poly, c_const, macmahon, p_poly
 from .lattice import Region, region_from_text, region_to_text, symmetry_axis_cut
-from .regions import HexParams, WindowSpec, check_index_list, hexagon, windowed_hexagon
+from .regions import (
+    DegenerateHexagon,
+    HexParams,
+    WindowSpec,
+    carved_hexagon,
+    check_index_list,
+    hexagon,
+    windowed_hexagon,
+)
 from .render import first_tiling, render_ascii, render_svg
 
 
@@ -86,6 +94,9 @@ def build_region_from_args(args) -> tuple[Region, dict]:
             return hexagon(params), {"family": "H_plain"}
         try:
             reg, fam, l, q = windowed_hexagon(params, windows)
+        except DegenerateHexagon as exc:
+            # a legal region (with one tiling), but with no labels to read
+            return carved_hexagon(params, windows), {"family": "H_degenerate", "why": str(exc)}
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         return reg, {"family": fam, "l": l, "q": q, "hex": (args.a, args.b, args.k), "windows": windows}
@@ -121,6 +132,8 @@ def cmd_count(args) -> int:
             value = V.family_poly(fam, meta["l"], meta["q"], meta["x"])
         elif fam in ("H_l", "H_lq", "Hbar_lq"):
             value = V.hexagon_formula(HexParams(*meta["hex"]), meta["windows"])
+        elif fam == "H_degenerate":
+            raise UsageError(f"{meta['why']}, so the formula method has no labels to read")
         else:
             raise UsageError("the formula method needs a constructed family, not a file")
     else:  # pragma: no cover - argparse restricts choices
@@ -201,7 +214,9 @@ def cmd_verify(args) -> int:
             print(rep.line())
 
     targets = VERIFY_TARGETS if args.target == "all" else (args.target,)
-    pair_args = dict(max_entry=args.max_entry, max_len=args.max_len)
+    # one table for the whole run: each member is counted and evaluated once
+    values = V.MemberValues()
+    pair_args = dict(max_entry=args.max_entry, max_len=args.max_len, values=values)
     if "prop21" in targets:
         run(V.sweep_region_formula(x_extra=args.x_extra, **pair_args))
     if "recurrences" in targets:
@@ -218,7 +233,7 @@ def cmd_verify(args) -> int:
         first = 0 if "theorem11" in targets else 1
         stop = 3 if "factorization" in targets else 1
         for p, ws in V.hexagon_placements(args.max_a, args.max_b, args.max_k):
-            run(islice(V.verify_hexagon(p, ws), first, stop))
+            run(islice(V.verify_hexagon(p, ws, values=values), first, stop))
     mismatches = sum(1 for rep in reports if not rep.match)
     print(f"SUMMARY total={len(reports)} mismatches={mismatches}")
     return 1 if mismatches else 0

@@ -195,6 +195,11 @@ class WindowSpec:
         return rasterize(boundary)
 
 
+class DegenerateHexagon(ValueError):
+    """A valid windowed-hexagon description whose windows absorb the whole
+    hexagon: its carved region is legal, but it has no labels to read."""
+
+
 def _carve(p: HexParams, windows: list[WindowSpec]) -> tuple[Region, int]:
     """Check fit, disjointness and the size/order bookkeeping, and cut the
     windows out of the hexagon.
@@ -255,8 +260,8 @@ def _canonical_params(
     hexagon with a longer top side and a smaller imbalance; dually for a
     NABLA window whose apex sits on the base.  If the imbalance goes
     negative the whole picture is rotated by a half turn.  The loop runs to
-    a fixpoint, so its result is canonical.  Raises ``ValueError`` when the
-    windows absorb the whole hexagon (``b + k`` reaches 0).
+    a fixpoint, so its result is canonical.  Raises :class:`DegenerateHexagon`
+    when the windows absorb the whole hexagon (``b + k`` reaches 0).
     """
     a, b, k = p.a, p.b, p.k
     ws = list(windows)
@@ -288,7 +293,7 @@ def _canonical_params(
             ]
             changed = True
     if b + k == 0:
-        raise ValueError(
+        raise DegenerateHexagon(
             f"hexagon {p} with windows {list(windows)} is degenerate: "
             "its windows absorb the whole hexagon"
         )
@@ -303,6 +308,13 @@ def canonical_hexagon(
     and for one whose windows absorb the whole hexagon."""
     _carve(p, windows)
     return _canonical_params(p, windows)
+
+
+def carved_hexagon(p: HexParams, windows: list[WindowSpec]) -> Region:
+    """The hexagon with its windows cut out, after the checks of
+    :func:`canonical_hexagon`; no window is absorbed and no forced lozenge
+    removed, so a degenerate description has one too."""
+    return _carve(p, windows)[0]
 
 
 def windowed_hexagon(

@@ -15,6 +15,10 @@ A windowed hexagon is checked in one place: :func:`hexagon_sides`
 canonicalizes, builds, cuts and predicts the two pieces once, and
 :func:`verify_hexagon` turns that record into the product formula, the
 factorization and the pieces reports, counting each region once.
+
+A :class:`MemberValues` table given to the verifiers makes a run compute
+each member's oracle count and polynomial once; hexagons and their cut
+pieces are still counted once per placement.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .regions import (
 __all__ = [
     "CountReport",
     "HexagonSides",
+    "MemberValues",
     "check_reachability",
     "expected_cut_pieces",
     "frozen_edges",
@@ -133,28 +138,53 @@ def family_poly(family: str, l, q, x) -> Fraction:
     return (p_poly if family == "R" else bar_p_poly)(l, q, x)
 
 
-def family_count(family: str, l, q, x: int) -> Fraction:
-    return count_oracle(build_region(family, l, q, x))
+class MemberValues:
+    """One run's oracle counts and polynomial values of family members, each
+    computed once and keyed by the validated member (family, l, q, x).
+
+    The counts come only from :func:`count_oracle` on the member's region
+    and the values only from :func:`family_poly`, so neither engine ever
+    stands in for the other.  Only scalars are kept, never a region.
+    """
+
+    def __init__(self):
+        self.counts: dict[tuple, Fraction] = {}
+        self.polys: dict[tuple, Fraction] = {}
+
+    def count(self, family: str, l: IndexList, q: IndexList, x: int, region=None) -> Fraction:
+        """The oracle count; ``region`` is the member's region if the caller
+        has built it already."""
+        key = (family, l, q, x)
+        if key not in self.counts:
+            self.counts[key] = count_oracle(build_region(*key) if region is None else region)
+        return self.counts[key]
+
+    def poly(self, family: str, l: IndexList, q: IndexList, x) -> Fraction:
+        key = (family, l, q, x)
+        if key not in self.polys:
+            self.polys[key] = family_poly(*key)
+        return self.polys[key]
 
 
 # ---------------------------------------------------------------------------
 # tiling polynomial = tiling count, for the two zigzag families
 
 
-def verify_region_formula(l, q, x: int) -> CountReport:
+def verify_region_formula(l, q, x: int, *, values: MemberValues | None = None) -> CountReport:
     """Oracle count, determinant count (both encodings), and polynomial value
     must agree, for whichever of the two families admit this x."""
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
+    values = MemberValues() if values is None else values
     rep = CountReport(region_instance("RRbar", l, q, x))
     ok = True
     for family in ("R", "Rbar"):
         if (l or q) and x < min_x(l, q, family == "Rbar"):
             continue
         region = build_region(family, l, q, x)
-        rep.values[f"{family}.oracle"] = count_oracle(region)
+        rep.values[f"{family}.oracle"] = values.count(family, l, q, x, region)
         for side in (SOUTHWEST, NORTHWEST):
             rep.values[f"{family}.gv.{side[:2]}"] = count_gv(region, l, q, x, family, side)
-        rep.values[f"{family}.poly"] = family_poly(family, l, q, x)
+        rep.values[f"{family}.poly"] = values.poly(family, l, q, x)
         vals = [v for key, v in rep.values.items() if key.startswith(family)]
         ok = ok and all(v == vals[0] for v in vals)
     if not rep.values:
@@ -258,18 +288,20 @@ def verify_factorization(r: Region) -> CountReport:
     return _factorization_report("region", cut.width, *counts)
 
 
-def verify_hexagon(p: HexParams, windows: list[WindowSpec]):
+def verify_hexagon(p: HexParams, windows: list[WindowSpec], *, values: MemberValues | None = None):
     """The one check of a windowed hexagon, yielding three reports as their
     values exist: the product formula (count * 2**-width = P(plus) *
     P(minus)), the factorization, and the pieces (each cut piece, without
     its forced lozenges, is congruent to its predicted member, the right
     one up to a half turn, with the same forced factor, and counts its
     polynomial).  The oracle counts the region, then each piece only when
-    the second report is asked for."""
+    the second report is asked for; the two members' polynomials come from
+    ``values``."""
+    values = MemberValues() if values is None else values
     s = hexagon_sides(p, windows)
     instance = hexagon_instance(p, windows)
     whole = count_oracle(s.region)
-    polys = family_poly(*s.plus), family_poly(*s.minus)
+    polys = values.poly(*s.plus), values.poly(*s.minus)
     formula = {"lhs": whole / 2**s.cut.width, "rhs": polys[0] * polys[1]}
     yield CountReport(f"{instance}:{s.family}", formula).close()
 
@@ -345,10 +377,11 @@ def _fold(terms, value) -> Fraction:
     return sum((coeff * value(*child) for coeff, child in terms), Fraction(0))
 
 
-def verify_count_recurrences(l, q, x: int) -> CountReport:
+def verify_count_recurrences(l, q, x: int, *, values: MemberValues | None = None) -> CountReport:
     """Last-row determinant expansions as count identities, oracle on every
     term, for whichever of the two families apply at (l, q, x)."""
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
+    values = MemberValues() if values is None else values
     rep = CountReport(region_instance("recur", l, q, x))
     if not (l or q):
         raise ValueError("no recurrence applies to two empty lists")
@@ -356,23 +389,24 @@ def verify_count_recurrences(l, q, x: int) -> CountReport:
         raise ValueError(f"x={x} is minimal for the plain family; recurrence needs x > min")
     for family in ("R", "Rbar"):
         if x > min_x(l, q, barred=family == "Rbar"):
-            rep.values[f"{family}.lhs"] = family_count(family, l, q, x)
-            rep.values[f"{family}.rhs"] = _fold(recurrence_terms(family, l, q, x), family_count)
+            rep.values[f"{family}.lhs"] = values.count(family, l, q, x)
+            rep.values[f"{family}.rhs"] = _fold(recurrence_terms(family, l, q, x), values.count)
     return rep.close_pairs()
 
 
-def verify_boundary_reductions(l, q) -> CountReport:
+def verify_boundary_reductions(l, q, *, values: MemberValues | None = None) -> CountReport:
     """At the least admissible x the outermost lozenges freeze; the count
     collapses to a smaller member, with a factor 1/2 when the frozen run
     ends in a half-weighted position."""
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
+    values = MemberValues() if values is None else values
     rep = CountReport(region_instance("boundary", l, q, 0))
     for family in ("R", "Rbar"):
         lo = min_x(l, q, barred=family == "Rbar")
         for name, x, coeff, child in frozen_edges(family, l, q):
             if x == lo:
-                rep.values[f"{family}.{name}.lhs"] = family_count(family, l, q, x)
-                rep.values[f"{family}.{name}.rhs"] = coeff * family_count(*child)
+                rep.values[f"{family}.{name}.lhs"] = values.count(family, l, q, x)
+                rep.values[f"{family}.{name}.rhs"] = coeff * values.count(*child)
     if not rep.values:
         raise ValueError(f"no boundary reduction applies to l={l}, q={q}")
     return rep.close_pairs()
@@ -382,11 +416,12 @@ def verify_boundary_reductions(l, q) -> CountReport:
 # polynomial identities
 
 
-def verify_poly_recurrences(l, q) -> CountReport:
+def verify_poly_recurrences(l, q, *, values: MemberValues | None = None) -> CountReport:
     """The tiling polynomials satisfy the same last-row recurrences as the
     counts; checked at degree-bound+1 points, plus every frozen-edge
     specialization at its exact argument."""
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
+    values = MemberValues() if values is None else values
     rep = CountReport(region_instance("poly", l, q, 0))
     if not (l or q):
         raise ValueError("no polynomial recurrence applies to two empty lists")
@@ -399,7 +434,7 @@ def verify_poly_recurrences(l, q) -> CountReport:
         checks = [(x, recurrence_terms(family, l, q, x)) for x in points]
         checks += [(x, [(coeff, child)]) for _, x, coeff, child in frozen_edges(family, l, q)]
         for x, terms in checks:
-            ok = ok and family_poly(family, l, q, x) == _fold(terms, family_poly)
+            ok = ok and values.poly(family, l, q, x) == _fold(terms, values.poly)
         rep.values[f"{family}.checked"] = Fraction(len(points))
 
     rep.match = ok
@@ -528,29 +563,33 @@ def hexagon_placements(max_a: int, max_b: int, max_k: int):
             yield p, ws
 
 
-def sweep_region_formula(max_entry=3, max_len=2, x_extra=2):
+# Each pair sweep passes ``values`` to every report; without one, each
+# report computes its member values afresh.
+
+
+def sweep_region_formula(max_entry=3, max_len=2, x_extra=2, *, values: MemberValues | None = None):
     for l, q in nonempty_pairs(max_entry, max_len):
         lo = min(min_x(l, q, False), min_x(l, q, True))
         hi = max(min_x(l, q, False), min_x(l, q, True)) + x_extra
         for x in range(lo, hi + 1):
-            yield verify_region_formula(l, q, x)
+            yield verify_region_formula(l, q, x, values=values)
 
 
-def sweep_count_recurrences(max_entry=3, max_len=2, x_extra=2):
+def sweep_count_recurrences(max_entry=3, max_len=2, x_extra=2, *, values: MemberValues | None = None):
     for l, q in nonempty_pairs(max_entry, max_len):
         x0 = min_x(l, q, False)
         for x in range(x0 + 1, x0 + x_extra + 1):
-            yield verify_count_recurrences(l, q, x)
+            yield verify_count_recurrences(l, q, x, values=values)
 
 
-def sweep_boundary_reductions(max_entry=3, max_len=2):
+def sweep_boundary_reductions(max_entry=3, max_len=2, *, values: MemberValues | None = None):
     for l, q in nonempty_pairs(max_entry, max_len):
-        yield verify_boundary_reductions(l, q)
+        yield verify_boundary_reductions(l, q, values=values)
 
 
-def sweep_poly_recurrences(max_entry=3, max_len=2):
+def sweep_poly_recurrences(max_entry=3, max_len=2, *, values: MemberValues | None = None):
     for l, q in nonempty_pairs(max_entry, max_len):
-        yield verify_poly_recurrences(l, q)
+        yield verify_poly_recurrences(l, q, values=values)
 
 
 def sweep_increment_relations(count=20, seed=0):

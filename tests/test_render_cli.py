@@ -127,11 +127,16 @@ def test_cli_untileable_windowed_hexagon_exits_2(capsys, monkeypatch):
     assert "no tilings" in capsys.readouterr().err
 
 
-def test_cli_windows_absorbing_the_whole_hexagon_exit_2(capsys):
-    assert main(["count", "--family", "H", "--a", "2", "--b", "0", "--k", "1",
-                 "--window", "D:1@0"]) == 2
-    err = capsys.readouterr().err
-    assert "HexParams(a=2, b=0, k=1)" in err and "absorb the whole hexagon" in err
+def test_cli_counts_hexagons_their_windows_absorb(capsys):
+    # the carved region has exactly one tiling, but no labels for the formula
+    for a, k, window in ((2, 1, "D:1@0"), (4, 4, "D:4@0")):
+        args = ["count", "--family", "H", "--a", str(a), "--b", "0", "--k", str(k), "--window", window]
+        assert main([*args, "--method", "oracle"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        assert main([*args, "--method", "formula"]) == 2
+        err = capsys.readouterr().err
+        assert f"HexParams(a={a}, b=0, k={k})" in err and "absorb the whole hexagon" in err
+        assert "no labels to read" in err
 
 
 def test_cli_formula_values(capsys):

@@ -145,6 +145,61 @@ def test_each_hexagon_region_is_counted_once(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _pair_sweep_lines(values):
+    sweeps = (
+        V.sweep_region_formula,
+        V.sweep_count_recurrences,
+        V.sweep_boundary_reductions,
+        V.sweep_poly_recurrences,
+    )
+    return [rep.line() for sweep in sweeps for rep in sweep(2, 2, values=values)]
+
+
+def test_shared_member_values_change_no_report(monkeypatch):
+    # one table shared by the four sweeps against a fresh table per report,
+    # with the engines as they are and with each engine broken
+    poly, count = V.family_poly, V.count_oracle
+    for broken in (
+        {},
+        {"family_poly": lambda *member: poly(*member) + 1},
+        {"count_oracle": lambda r: count(r) + 1},  # every region here is an R/Rbar member
+    ):
+        for name, engine in broken.items():
+            monkeypatch.setattr(V, name, engine)
+        shared = V.MemberValues()
+        lines = _pair_sweep_lines(shared)
+        assert lines == _pair_sweep_lines(None)
+        assert shared.counts and shared.polys
+        assert any(line.endswith("match=false") for line in lines) == bool(broken)
+        monkeypatch.undo()
+
+
+def test_a_verify_run_computes_each_member_value_once(capsys, monkeypatch):
+    tables, counted, evaluated = [], Counter(), Counter()
+    count, poly = V.count_oracle, V.family_poly
+
+    class Recorded(V.MemberValues):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(V, "MemberValues", Recorded)
+    monkeypatch.setattr(V, "count_oracle", lambda r: counted.update([r]) or count(r))
+    monkeypatch.setattr(V, "family_poly", lambda *member: evaluated.update([member]) or poly(*member))
+    argv = ["verify", "--target", "all", "--max-entry", "2", "--max-a", "2", "--max-b", "2", "--max-k", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    (table,) = tables
+    members = Counter(V.build_region(*member) for member in table.counts)
+    # every hexagon whole and cut piece is still counted once per placement
+    sides = [hexagon_sides(p, ws) for p, ws in hexagon_placements(2, 2, 2)]
+    hexagons = Counter(r for s in sides for r in (s.region, s.cut.plus, s.cut.minus))
+    assert counted == members + hexagons
+    assert set(evaluated) == set(table.polys) and set(evaluated.values()) == {1}
+    assert len(table.counts) > 10 and len(table.polys) > 10 and len(sides) > 10
+
+
 def test_report_line_format():
     rep = CountReport("thing[x=1]", {"a": Fraction(3, 2), "b": Fraction(3, 2)})
     rep.match = True
