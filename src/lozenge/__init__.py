@@ -46,7 +46,6 @@ from .formulas import (
     coeff_D,
     macmahon,
     p_poly,
-    partition_of,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,9 @@ Subcommands: ``count`` (oracle / determinant / closed formula), ``formula``
 partitions), ``verify`` (identity sweeps with RESULT lines), ``render``
 (ASCII or SVG), and ``cut`` (split a mirror-symmetric region).  Exact
 values print as ``p/q`` or a bare integer.  Exit codes: 0 success,
-1 verification mismatch, 2 usage or validation error.
+1 verification mismatch, 2 for any input error (a bad flag, a missing or
+malformed file, an invalid region or number), reported as one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .lattice import Region, region_from_text, region_to_text, symmetry_axis_cut
 from .regions import (
     DegenerateHexagon,
     HexParams,
+    IndexList,
     WindowSpec,
     carved_hexagon,
     check_index_list,
@@ -32,21 +35,14 @@ from .regions import (
 from .render import first_tiling, render_ascii, render_svg
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_index_list(text: str, name: str):
     if text in ("", "-"):
         return ()
     try:
         values = tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"--{name} expects comma-separated integers, got {text!r}") from exc
-    try:
-        return check_index_list(values, name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"--{name} expects comma-separated integers, got {text!r}") from exc
+    return check_index_list(values, name)
 
 
 def parse_window(text: str) -> WindowSpec:
@@ -56,7 +52,7 @@ def parse_window(text: str) -> WindowSpec:
         kind = {"D": "DELTA", "N": "NABLA"}[kind_txt]
         return WindowSpec(kind, int(size_txt), int(row_txt))
     except (ValueError, KeyError) as exc:
-        raise UsageError(
+        raise ValueError(
             f"--window expects D:<size>@<row> or N:<size>@<row>, got {text!r}"
         ) from exc
 
@@ -64,43 +60,43 @@ def parse_window(text: str) -> WindowSpec:
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError as exc:
-        raise UsageError(f"expected a rational like 7 or 7/2, got {text!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"expected a rational like 7 or 7/2, got {text!r}") from exc
 
 
-def build_region_from_args(args) -> tuple[Region, dict]:
-    """Region plus the constructor metadata the subcommands need."""
-    if getattr(args, "infile", None):
+def member_from_args(args) -> tuple[str, IndexList, IndexList, int]:
+    """The ``(family, l, q, x)`` of an R or Rbar member."""
+    l = parse_index_list(args.l or "-", "l")
+    q = parse_index_list(args.q or "-", "q")
+    if args.x is None:
+        raise ValueError("--x is required for the R and Rbar families")
+    return args.family, l, q, args.x
+
+
+def hexagon_from_args(args) -> tuple[HexParams, list[WindowSpec]]:
+    """The parameters and windows of an H description."""
+    if args.a is None or args.b is None or args.k is None:
+        raise ValueError("--a, --b and --k are required for the H family")
+    return HexParams(args.a, args.b, args.k), [parse_window(w) for w in args.window or []]
+
+
+def build_region_from_args(args) -> Region:
+    if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            return region_from_text(fh.read()), {"family": "file"}
-    family = args.family
-    if family in ("R", "Rbar"):
-        l = parse_index_list(args.l or "-", "l")
-        q = parse_index_list(args.q or "-", "q")
-        if args.x is None:
-            raise UsageError("--x is required for the R and Rbar families")
-        try:
-            reg = V.build_region(family, l, q, args.x)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        return reg, {"family": family, "l": l, "q": q, "x": args.x}
-    if family == "H":
-        if args.a is None or args.b is None or args.k is None:
-            raise UsageError("--a, --b and --k are required for the H family")
-        windows = [parse_window(w) for w in args.window or []]
-        params = HexParams(args.a, args.b, args.k)
-        if not windows and args.k > 0:
+            return region_from_text(fh.read())
+    if args.family in ("R", "Rbar"):
+        return V.build_region(*member_from_args(args))
+    if args.family == "H":
+        params, windows = hexagon_from_args(args)
+        if not windows and params.k > 0:
             # the bare unbalanced hexagon is a legal region (with no tilings)
-            return hexagon(params), {"family": "H_plain"}
+            return hexagon(params)
         try:
-            reg, fam, l, q = windowed_hexagon(params, windows)
-        except DegenerateHexagon as exc:
+            return windowed_hexagon(params, windows)[0]
+        except DegenerateHexagon:
             # a legal region (with one tiling), but with no labels to read
-            return carved_hexagon(params, windows), {"family": "H_degenerate", "why": str(exc)}
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        return reg, {"family": fam, "l": l, "q": q, "hex": (args.a, args.b, args.k), "windows": windows}
-    raise UsageError(f"unknown family {family!r}")
+            return carved_hexagon(params, windows)
+    raise ValueError(f"unknown family {args.family!r}")
 
 
 def add_region_flags(sub: argparse.ArgumentParser):
@@ -119,25 +115,24 @@ def add_region_flags(sub: argparse.ArgumentParser):
 
 
 def cmd_count(args) -> int:
-    reg, meta = build_region_from_args(args)
-    if args.method == "oracle":
-        value = count_oracle(reg)
-    elif args.method == "gv":
-        if meta.get("family") not in ("R", "Rbar"):
-            raise UsageError("the determinant method applies to the R and Rbar families only")
-        value = count_gv(reg, meta["l"], meta["q"], meta["x"], meta["family"], args.side)
-    elif args.method == "formula":
-        fam = meta.get("family")
-        if fam in ("R", "Rbar"):
-            value = V.family_poly(fam, meta["l"], meta["q"], meta["x"])
-        elif fam in ("H_l", "H_lq", "Hbar_lq"):
-            value = V.hexagon_formula(HexParams(*meta["hex"]), meta["windows"])
-        elif fam == "H_degenerate":
-            raise UsageError(f"{meta['why']}, so the formula method has no labels to read")
+    if args.method == "formula" and args.family == "H" and not args.infile:
+        try:
+            value = V.hexagon_formula(*hexagon_from_args(args))
+        except DegenerateHexagon as exc:
+            raise ValueError(f"{exc}, so the formula method has no labels to read") from exc
+    else:
+        reg = build_region_from_args(args)
+        if args.method == "oracle":
+            value = count_oracle(reg)
+        elif args.method == "gv" and (args.infile or args.family == "H"):
+            raise ValueError("the determinant method applies to the R and Rbar families only")
+        elif args.infile:
+            raise ValueError("the formula method needs a constructed family, not a file")
+        elif args.method == "gv":
+            family, l, q, x = member_from_args(args)
+            value = count_gv(reg, l, q, x, family, args.side)
         else:
-            raise UsageError("the formula method needs a constructed family, not a file")
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown method {args.method}")
+            value = V.family_poly(*member_from_args(args))
     print(format_rational(value))
     return 0
 
@@ -151,15 +146,13 @@ def cmd_formula(args) -> int:
         value = (p_poly if which == "P" else bar_p_poly)(l, q, x)
     elif which in ("B", "Bbar"):
         if args.m is None or args.n is None:
-            raise UsageError("--m and --n are required for B and Bbar")
+            raise ValueError("--m and --n are required for B and Bbar")
         x = parse_rational(args.x if args.x is not None else "0")
         value = (b_poly if which == "B" else bar_b_poly)(args.m, args.n, x)
-    elif which in ("c", "cbar"):
+    else:
         l = parse_index_list(args.l or "-", "l")
         q = parse_index_list(args.q or "-", "q")
         value = (c_const if which == "c" else bar_c_const)(l, q)
-    else:  # pragma: no cover
-        raise UsageError(f"unknown formula {which!r}")
     print(format_rational(value))
     return 0
 
@@ -170,12 +163,12 @@ def cmd_macmahon(args) -> int:
 
 
 def cmd_render(args) -> int:
-    reg, _ = build_region_from_args(args)
+    reg = build_region_from_args(args)
     tiling = None
     if args.tiling == "first":
         tiling = first_tiling(reg)
         if tiling is None:
-            raise UsageError("region has no tiling to draw")
+            raise ValueError("region has no tiling to draw")
     if args.format == "ascii":
         text = render_ascii(reg)
     else:
@@ -189,11 +182,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_cut(args) -> int:
-    reg, _ = build_region_from_args(args)
-    try:
-        cut = symmetry_axis_cut(reg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cut = symmetry_axis_cut(build_region_from_args(args))
     print(f"width {cut.width}")
     for path, piece in ((args.out_plus, cut.plus), (args.out_minus, cut.minus)):
         if path:
@@ -300,10 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

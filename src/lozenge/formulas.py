@@ -23,7 +23,6 @@ multiplies Python ints and builds exactly one ``Fraction`` at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import binomial, shifted_factorial
@@ -51,10 +50,6 @@ def _tent(table: FactorTable, h: int, count: int) -> None:
     for j in range(1, count + 1):
         g = h + 2 * (j - 1)
         table[g] = table.get(g, 0) + min(j, count + 1 - j)
-
-
-def _tent_degree(count: int) -> int:
-    return (count + 1) ** 2 // 4 if count > 0 else 0
 
 
 # In both base polynomials the prefactor 2**-(...) cancels the 2 taken out
@@ -187,35 +182,6 @@ def bar_c_const(l, q) -> Fraction:
     return Fraction(*_const(check_index_list(l, "l"), check_index_list(q, "q"), True))
 
 
-@dataclass(frozen=True)
-class PartitionShape:
-    """Partition attached to a label list, with its anchored cell statistic.
-
-    The parts are ``l_i - i``; the diagram keeps its zero rows, with row i
-    (1-based, shortest first) of length ``l_i - i``, and a cell in row i,
-    column j carries the statistic ``h = i + j``.  The anchored statistic
-    multiset is exactly ``{i+1, ..., l_i}`` joined over i.
-    """
-
-    parts: tuple[int, ...]  # weakly decreasing, zero parts dropped
-    nrows: int
-
-    def cells(self) -> list[tuple[int, int]]:
-        rising = sorted(self.parts) + [0] * (self.nrows - len(self.parts))
-        rising = sorted(rising)
-        return [(i, j) for i in range(1, self.nrows + 1) for j in range(1, rising[i - 1] + 1)]
-
-    def h_values(self) -> list[int]:
-        return [i + j for i, j in self.cells()]
-
-
-def partition_of(lst) -> PartitionShape:
-    lst = check_index_list(lst)
-    parts = tuple(sorted((v - i for i, v in enumerate(lst, start=1)), reverse=True))
-    parts = tuple(p for p in parts if p > 0)
-    return PartitionShape(parts, len(lst))
-
-
 def _h_multiset(lst: IndexList) -> list[int]:
     return [h for i, v in enumerate(lst, start=1) for h in range(i + 1, v + 1)]
 
@@ -265,16 +231,9 @@ def p_poly_shifted_form(l, q, x: Fraction | int, barred: bool = False) -> Fracti
 
 
 def p_poly_degree(l, q, barred: bool = False) -> int:
-    """Degree of the tiling polynomial in x."""
-    l = check_index_list(l, "l")
-    q = check_index_list(q, "q")
-    m, n = len(l), len(q)
-
-    if barred:
-        base = n + _tent_degree(m) + _tent_degree(m - 1) + sum(m + i for i in range(1, n + 1))
-    else:
-        base = 2 * m + _tent_degree(n - 1) + _tent_degree(n) + sum(n + i - 1 for i in range(1, m + 1))
-    return base + 2 * len(_h_multiset(l)) + 2 * len(_h_multiset(q))
+    """Degree of the tiling polynomial in x: the exponent sum of its netted
+    factor table."""
+    return sum(_p_table(check_index_list(l, "l"), check_index_list(q, "q"), barred).values())
 
 
 def macmahon(a: int, b: int, c: int) -> int:

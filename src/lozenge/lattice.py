@@ -363,12 +363,12 @@ def region_from_text(text: str) -> Region:
     if not lines or lines[0].strip() != "TRIREGION 1":
         raise ValueError("line 1: expected header 'TRIREGION 1'")
 
-    def parse_cell(parts: list[str], lineno: int) -> Cell:
+    def parse_cell(parts: list[str]) -> Cell:
         row, col, orient = int(parts[0]), int(parts[1]), parts[2]
         if orient not in (UP, DOWN):
-            raise ValueError(f"line {lineno}: orientation must be U or D")
+            raise ValueError("orientation must be U or D")
         if orientation((row, col)) != orient:
-            raise ValueError(f"line {lineno}: orientation {orient} inconsistent with column parity")
+            raise ValueError(f"orientation {orient} inconsistent with column parity")
         return (row, col)
 
     cells: set[Cell] = set()
@@ -380,13 +380,11 @@ def region_from_text(text: str) -> Region:
         parts = line.split()
         try:
             if parts[0] == "C" and len(parts) == 4:
-                cells.add(parse_cell(parts[1:], i))
+                cells.add(parse_cell(parts[1:]))
             elif parts[0] == "H" and len(parts) == 7:
-                half.add(lozenge(parse_cell(parts[1:4], i), parse_cell(parts[4:7], i)))
+                half.add(lozenge(parse_cell(parts[1:4]), parse_cell(parts[4:7])))
             else:
-                raise ValueError(f"line {i}: expected 'C r c O' or 'H r c O r c O'")
-        except ValueError:
-            raise
-        except Exception as exc:
+                raise ValueError("expected 'C r c O' or 'H r c O r c O'")
+        except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from exc
     return Region(frozenset(cells), frozenset(half))

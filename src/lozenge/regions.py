@@ -360,15 +360,16 @@ def windowed_hexagon(
 # the zigzag-anchored families
 
 
-def _zigzag_bounds(l: IndexList, q: IndexList, barred: bool) -> int:
-    m, n = len(l), len(q)
+def top_edge_x(l: IndexList, q: IndexList, barred: bool) -> int:
+    """The base length at which the top upper bump's frozen edge lies."""
     lm = l[-1] if l else 0
     qn = q[-1] if q else 0
-    if barred:
-        return max(0, qn - lm - n + m)
-    if l:
-        return max(0, qn - lm - n + m - 1)
-    return qn - n - 1
+    return qn - lm - len(q) + len(l) - (0 if barred else 1)
+
+
+def _zigzag_bounds(l: IndexList, q: IndexList, barred: bool) -> int:
+    top = top_edge_x(l, q, barred)
+    return max(0, top) if l else top
 
 
 def min_x(l, q, barred: bool = False) -> int:

@@ -55,6 +55,7 @@ from .regions import (
     omit,
     r_bar_region,
     r_region,
+    top_edge_x,
     windowed_hexagon,
 )
 
@@ -363,12 +364,11 @@ def frozen_edges(family: str, l: IndexList, q: IndexList) -> list:
     the top upper bump, whose frozen run ends in a half-weighted position.
     Each holds for the polynomials; for the counts where x = min_x (an edge
     never lies above min_x)."""
-    m, n = len(l), len(q)
     edges = []
     if l:
         edges.append(("base", 0, 1, _drop_top_lower(family, l, q, 0)))
     if q:
-        x = q[-1] - (l[-1] if l else 0) - n + m - (1 if family == "R" else 0)
+        x = top_edge_x(l, q, family == "Rbar")
         edges.append(("top", x, Fraction(1, 2), (family, l, q[:-1], x)))
     return edges
 

@@ -195,3 +195,7 @@ def test_triregion_parse_errors_carry_line_numbers():
         region_from_text("TRIREGION 1\nC 0 0 D\n")  # parity mismatch
     with pytest.raises(ValueError, match="line 3"):
         region_from_text("TRIREGION 1\nC 0 0 U\nX 1 2 3\n")
+    with pytest.raises(ValueError, match=r"^line 2: invalid literal for int\(\)"):
+        region_from_text("TRIREGION 1\nC 0 x U\n")
+    with pytest.raises(ValueError, match=r"^line 3: cells .* do not form a lozenge"):
+        region_from_text("TRIREGION 1\nC 0 0 U\nH 0 0 U 0 2 U\n")

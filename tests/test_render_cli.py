@@ -139,6 +139,26 @@ def test_cli_counts_hexagons_their_windows_absorb(capsys):
         assert "no labels to read" in err
 
 
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["count", "--in", "{missing}"], "No such file"),
+        (["formula", "--which", "P", "--l", "1", "--x", "1/0"], "'1/0'"),
+        # a bare unbalanced hexagon has no windows for the formula to read
+        (["count", "--family", "H", "--a", "3", "--b", "3", "--k", "2", "--method", "formula"],
+         "window sizes [] must total k=2"),
+    ],
+)
+def test_cli_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, argv, needle):
+    argv = [arg.format(missing=tmp_path / "missing.tri") for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_cli_formula_values(capsys):
     assert main(["formula", "--which", "c", "--l", "1", "--q", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1/8"
