@@ -81,22 +81,20 @@ def hexagon_from_args(args) -> tuple[HexParams, list[WindowSpec]]:
 
 
 def build_region_from_args(args) -> Region:
-    if args.infile:
+    if args.infile is not None:
         with open(args.infile, "r", encoding="utf-8") as fh:
             return region_from_text(fh.read())
     if args.family in ("R", "Rbar"):
         return V.build_region(*member_from_args(args))
-    if args.family == "H":
-        params, windows = hexagon_from_args(args)
-        if not windows and params.k > 0:
-            # the bare unbalanced hexagon is a legal region (with no tilings)
-            return hexagon(params)
-        try:
-            return windowed_hexagon(params, windows)[0]
-        except DegenerateHexagon:
-            # a legal region (with one tiling), but with no labels to read
-            return carved_hexagon(params, windows)
-    raise ValueError(f"unknown family {args.family!r}")
+    params, windows = hexagon_from_args(args)
+    if not windows and params.k > 0:
+        # the bare unbalanced hexagon is a legal region (with no tilings)
+        return hexagon(params)
+    try:
+        return windowed_hexagon(params, windows)[0]
+    except DegenerateHexagon:
+        # a legal region (with one tiling), but with no labels to read
+        return carved_hexagon(params, windows)
 
 
 def add_region_flags(sub: argparse.ArgumentParser):
@@ -115,7 +113,7 @@ def add_region_flags(sub: argparse.ArgumentParser):
 
 
 def cmd_count(args) -> int:
-    if args.method == "formula" and args.family == "H" and not args.infile:
+    if args.method == "formula" and args.family == "H":
         try:
             value = V.hexagon_formula(*hexagon_from_args(args))
         except DegenerateHexagon as exc:
@@ -288,6 +286,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if "infile" in vars(args) and (args.family is None) == (args.infile is None):
+            raise ValueError("a region needs exactly one of --family and --in")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,10 +8,12 @@ Two groups of families live here:
 
 * ``hexagon``/``windowed_hexagon``: a hexagon with side lengths
   ``a, b+k, b, a+k, b, b+k`` (base ``a+k`` at the bottom, vertical mirror
-  axis), optionally with axis-symmetric triangular windows removed.  One
-  pass validates a description and cuts its windows out; windows reaching
-  the hull are absorbed in one place, which also rejects a description
-  whose windows absorb the whole hexagon.
+  axis), optionally with axis-symmetric triangular windows removed.  The
+  window rule is arithmetic, stated once (``WindowSpec.on_lattice``,
+  ``fits``, ``meets`` and the bookkeeping of ``_check``), so a window is
+  rasterized only to be cut out; windows reaching the hull are absorbed
+  in one place, which also rejects a description whose windows absorb
+  the whole hexagon, and only the canonical description is built.
 * ``r_region``/``r_bar_region``: the simply connected regions carved out
   around two vertical zigzag paths through a lattice origin, parameterized
   by the labels of the selected bumps below (``l``) and above (``q``) plus
@@ -133,6 +135,10 @@ class HexParams:
     def axis(self) -> int:
         return self.a + self.k  # the mirror axis is x = (a+k)/2
 
+    def width(self, t: int) -> int:
+        """The length of the hexagon's horizontal line at height 0 <= t <= nrows."""
+        return self.axis + min(t, self.b) - max(0, t - self.b)
+
 
 def hexagon(p: HexParams) -> Region:
     """The hexagon with sides a, b+k, b, a+k, b, b+k and base a+k at row 0."""
@@ -180,13 +186,22 @@ class WindowSpec:
     def row_hi(self) -> int:
         return self.base_row + self.size - 1 if self.kind == "DELTA" else self.base_row - 1
 
+    def on_lattice(self, axis: int) -> bool:
+        """Whether the window's corners are lattice vertices, centred on x = axis/2."""
+        return (self.base_row - axis - self.size) % 2 == 0
+
+    def fits(self, p: HexParams) -> bool:
+        """Whether a window on the lattice lies inside the (convex) hexagon:
+        its rows do, and its base is no longer than the hexagon there."""
+        return 0 <= self.row_lo and self.row_hi < p.nrows and self.size <= p.width(self.base_row)
+
+    def meets(self, other: "WindowSpec") -> bool:
+        """Whether two windows on the axis share a cell: their row ranges meet."""
+        return self.row_lo <= other.row_hi and other.row_lo <= self.row_hi
+
     def cells(self, axis: int) -> frozenset[Cell]:
+        """The window's cells, for a window :meth:`on_lattice`."""
         s, t = self.size, self.base_row
-        if (t - (axis + s)) % 2:
-            raise ValueError(
-                f"window {self} is not lattice-symmetric about the axis "
-                f"(base row parity must equal axis+size parity)"
-            )
         va_left = (axis - s - t) // 2
         if self.kind == "DELTA":
             boundary = walk((va_left, t), (E, s), (NW, s), (SW, s))
@@ -200,26 +215,20 @@ class DegenerateHexagon(ValueError):
     hexagon: its carved region is legal, but it has no labels to read."""
 
 
-def _carve(p: HexParams, windows: list[WindowSpec]) -> tuple[Region, int]:
-    """Check fit, disjointness and the size/order bookkeeping, and cut the
-    windows out of the hexagon.
-
-    Returns the holey region and the reference row for vertebra labeling
-    (the hexagon base for even imbalance, the odd window's base line for
-    odd imbalance).
-    """
-    hexa = hexagon(p).cells
-    win_cells = []
+def _check(p: HexParams, windows: list[WindowSpec]) -> None:
+    """Raise ``ValueError`` unless every window is on the lattice and fits,
+    no two meet, and the sizes and order obey the bookkeeping of the
+    imbalance; arithmetic only, no cell is built."""
     for w in windows:
-        cs = w.cells(p.axis)
-        if not cs <= hexa:
+        if not w.on_lattice(p.axis):
+            raise ValueError(f"window {w} is not lattice-symmetric about the axis "
+                             "(base row parity must equal axis+size parity)")
+        if not w.fits(p):
             raise ValueError(f"window {w} does not fit inside the hexagon")
-        win_cells.append(cs)
     for i in range(len(windows)):
         for j in range(i + 1, len(windows)):
-            if win_cells[i] & win_cells[j]:
+            if windows[i].meets(windows[j]):
                 raise ValueError(f"windows {windows[i]} and {windows[j]} overlap")
-    holey = Region(hexa.difference(*win_cells))
 
     odd_windows = [w for w in windows if not w.even]
     if p.k % 2 == 0:
@@ -229,7 +238,7 @@ def _carve(p: HexParams, windows: list[WindowSpec]) -> tuple[Region, int]:
             raise ValueError("even imbalance admits DELTA windows only")
         if sum(w.size for w in windows) != p.k:
             raise ValueError(f"window sizes {[w.size for w in windows]} must total k={p.k}")
-        return holey, 0
+        return
     if len(odd_windows) != 1:
         raise ValueError("odd imbalance needs exactly one odd window")
     odd = odd_windows[0]
@@ -247,7 +256,6 @@ def _carve(p: HexParams, windows: list[WindowSpec]) -> tuple[Region, int]:
                 raise ValueError(f"even DELTA window {w} must lie above the odd window")
         elif w.row_hi >= odd.row_lo:
             raise ValueError(f"even NABLA window {w} must lie below the odd window")
-    return holey, odd.base_row
 
 
 def _canonical_params(
@@ -303,10 +311,10 @@ def _canonical_params(
 def canonical_hexagon(
     p: HexParams, windows: list[WindowSpec]
 ) -> tuple[HexParams, list[WindowSpec]]:
-    """Validate a windowed-hexagon description once and return its canonical
-    parameters and windows; raises ``ValueError`` for an invalid description
-    and for one whose windows absorb the whole hexagon."""
-    _carve(p, windows)
+    """Validate a windowed-hexagon description, building no region, and return
+    its canonical parameters and windows; raises ``ValueError`` for an
+    invalid description and for one whose windows absorb the whole hexagon."""
+    _check(p, windows)
     return _canonical_params(p, windows)
 
 
@@ -314,7 +322,8 @@ def carved_hexagon(p: HexParams, windows: list[WindowSpec]) -> Region:
     """The hexagon with its windows cut out, after the checks of
     :func:`canonical_hexagon`; no window is absorbed and no forced lozenge
     removed, so a degenerate description has one too."""
-    return _carve(p, windows)[0]
+    _check(p, windows)
+    return Region(hexagon(p).cells.difference(*(w.cells(p.axis) for w in windows)))
 
 
 def windowed_hexagon(
@@ -328,22 +337,19 @@ def windowed_hexagon(
     one window is odd (even DELTA windows above it, even NABLA windows
     below it, DELTA total = NABLA total + k); the family is ``H_lq`` for
     an odd DELTA window and ``Hbar_lq`` for an odd NABLA window, and the
-    labels count from the odd window's base line.  Vertebra labels are
-    read off before forced lozenges are removed, relative to the canonical
-    parameters (windows whose apex lies on the hull are absorbed first, and
-    a description that changes is carved again in canonical form).  Raises
-    ``ValueError`` as :func:`canonical_hexagon` does, and for no tilings.
+    labels count from the odd window's base line.  Only the canonical
+    description (:func:`canonical_hexagon`: windows whose apex lies on the
+    hull absorbed) is built, and its labels are read before forced
+    lozenges are removed.  Raises ``ValueError`` as
+    :func:`canonical_hexagon` does, and for no tilings.
     """
-    holey, reference = _carve(p, windows)
-    cp, cws = _canonical_params(p, windows)
-    if (cp, cws) != (p, list(windows)):
-        holey, reference = _carve(cp, cws)
-
-    below, above = vertebra_labels(holey, reference, row_span=(0, cp.nrows - 1))
-    if cp.k % 2 == 0:
+    cp, cws = canonical_hexagon(p, windows)
+    holey = carved_hexagon(cp, cws)
+    odd = next((w for w in cws if not w.even), None)
+    below, above = vertebra_labels(holey, odd.base_row if odd else 0, row_span=(0, cp.nrows - 1))
+    if odd is None:
         family, l, q = "H_l", above, ()
     else:
-        odd = next(w for w in cws if not w.even)
         family = "H_lq" if odd.kind == "DELTA" else "Hbar_lq"
         l, q = below, above
 

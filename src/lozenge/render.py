@@ -8,6 +8,7 @@ equal inputs.
 
 from __future__ import annotations
 
+from .count import enumerate_tilings
 from .lattice import Cell, Loz, Region, is_up, partners
 
 SCALE = 20  # half a lattice unit in SVG pixels
@@ -119,8 +120,6 @@ def _lozenge_outline(a: Cell, b: Cell) -> list[tuple[int, int]]:
 
 def first_tiling(r: Region) -> frozenset[Loz] | None:
     """The lexicographically first tiling, or None if untileable."""
-    from .count import enumerate_tilings
-
     for t in enumerate_tilings(r):
         return t
     return None

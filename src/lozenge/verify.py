@@ -216,22 +216,17 @@ def expected_cut_pieces(family: str, l: IndexList, q: IndexList, a: int, k: int)
         else:
             plus = ("R", (), omit(l, m), (a + k - 1) // 2)
             minus = ("Rbar", l, (), (a - 1) // 2)
-    elif family == "H_lq":
+    elif family in ("H_lq", "Hbar_lq"):
+        # Hbar_lq is H_lq with the two zigzag families swapped
+        r, rbar = ("R", "Rbar") if family == "H_lq" else ("Rbar", "R")
         if a % 2 == 0:
             # the last label below the line is the base triangle; with it gone
             # the frozen pattern at the bottom of the right piece flips the bar
-            plus = ("Rbar", l, q, (a + k - 1) // 2)
-            minus = ("R", q, omit(l, m), a // 2) if l else ("Rbar", q, (), a // 2)
+            plus = (rbar, l, q, (a + k - 1) // 2)
+            minus = (r, q, omit(l, m), a // 2) if l else (rbar, q, (), a // 2)
         else:
-            plus = ("Rbar", l, omit(q, n), (a + k) // 2)
-            minus = ("R", q, l, (a - 1) // 2)
-    elif family == "Hbar_lq":
-        if a % 2 == 0:
-            plus = ("R", l, q, (a + k - 1) // 2)
-            minus = ("Rbar", q, omit(l, m), a // 2) if l else ("R", q, (), a // 2)
-        else:
-            plus = ("R", l, omit(q, n), (a + k) // 2)
-            minus = ("Rbar", q, l, (a - 1) // 2)
+            plus = (rbar, l, omit(q, n), (a + k) // 2)
+            minus = (r, q, l, (a - 1) // 2)
     else:
         raise ValueError(f"unknown hexagon family {family!r}")
     return plus, minus
@@ -626,29 +621,25 @@ def _multisets(parts: list[tuple[int, str]], n: int, budget: int):
 
 def window_placements(p: HexParams, max_windows: int = 2):
     """Every window set with at most ``max_windows`` windows that
-    :func:`lozenge.regions._carve` accepts, each exactly once.
+    :func:`lozenge.regions.canonical_hexagon` accepts, each exactly once.
 
-    The rule: even ``k`` takes even DELTA windows only; odd ``k`` takes
-    exactly one odd window, with even DELTA windows above it and even
-    NABLA windows below it; the DELTA total minus the NABLA total is
-    ``k``.  Axis windows meet iff their row ranges do, and a window fits
-    iff its rows lie in the hexagon and its base is no wider than the
-    hexagon at the base row.  Sets come by number of windows, then by the
-    sizes and kinds of the even windows, then by the odd window's kind
-    (DELTA first), then by position with the odd window outermost; with
-    odd ``k`` each set is listed top to bottom.
+    Windows pass the validator's predicates (``WindowSpec.on_lattice``,
+    ``fits``, ``meets``) and sets follow its bookkeeping: even ``k`` takes
+    even DELTA windows only; odd ``k`` one odd window, even DELTA windows
+    above it and even NABLA windows below it; DELTA total - NABLA total =
+    ``k``.  Sets come by number of windows, then by the sizes and kinds of
+    the even windows, then by the odd window's kind (DELTA first), then by
+    position with the odd window outermost; with odd ``k`` each set is
+    listed top to bottom.
     """
     nrows, odd_k = p.nrows, p.k % 2
 
     @cache
     def positions(kind: str, size: int) -> list[WindowSpec]:
+        # only base rows that keep the window's rows in 0..nrows-1 are tried
         bases = range(nrows - size + 1) if kind == "DELTA" else range(size, nrows + 1)
-        # the hexagon is p.axis + min(t, b) - max(0, t - b) wide at height t
-        return [
-            WindowSpec(kind, size, t)
-            for t in bases
-            if (t - p.axis - size) % 2 == 0 and size <= p.axis + min(t, p.b) - max(0, t - p.b)
-        ]
+        ws = (WindowSpec(kind, size, t) for t in bases)
+        return [w for w in ws if w.on_lattice(p.axis) and w.fits(p)]
 
     def place(spec: tuple, placed: list[WindowSpec]):
         if not spec:
@@ -657,7 +648,7 @@ def window_placements(p: HexParams, max_windows: int = 2):
         (size, kind), *rest = spec
         last = placed[-1] if placed else None
         for w in positions(kind, size):
-            if any(w.row_lo <= v.row_hi and v.row_lo <= w.row_hi for v in placed):
+            if any(w.meets(v) for v in placed):
                 continue
             if odd_k and placed and (kind == "DELTA") != (w.row_lo > placed[0].row_hi):
                 continue  # even DELTA above the odd window placed[0], even NABLA below

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -244,7 +245,7 @@ def test_only_the_given_placement_is_validated(calls):
     valid = changed = degenerate = 0
     for p, ws in _raw_placements(3):
         try:
-            regions._carve(p, ws)
+            regions._check(p, ws)
         except ValueError:
             continue
         valid += 1
@@ -254,18 +255,17 @@ def test_only_the_given_placement_is_validated(calls):
         except ValueError as exc:
             assert DEGENERATE in str(exc), (p, ws)
             cp = None
-        assert calls == Counter(hexagon=1, _canonical_params=1), (p, ws)
+        assert calls == Counter(_canonical_params=1), (p, ws)
         if cp is None:
             degenerate += 1
             continue
-        regions._carve(cp, cws)
+        regions._check(cp, cws)
         assert regions._canonical_params(cp, cws) == (cp, cws), (p, ws)
-        moved = (cp, cws) != (p, ws)
-        changed += moved
+        changed += (cp, cws) != (p, ws)
 
         calls.clear()
         got = windowed_hexagon(p, ws)
-        assert calls == Counter(hexagon=1 + moved, _canonical_params=1), (p, ws)
+        assert calls == Counter(hexagon=1, _canonical_params=1), (p, ws)
         assert got == windowed_hexagon(cp, cws), (p, ws)
     assert (valid, changed, degenerate) == (145, 42, 4)
 
@@ -276,16 +276,122 @@ def test_hexagon_builds_per_placement(calls):
     for p, ws in placements:
         calls.clear()
         hexagon_sides(p, ws)
-        assert calls["hexagon"] <= 2, (p, ws)
+        assert calls["hexagon"] == 1, (p, ws)
+        calls.clear()
         cp, cws = canonical_hexagon(p, ws)
+        assert calls == Counter(_canonical_params=1), (p, ws)
         changed += (cp, cws) != (p, ws)
-        calls.clear()
-        windowed_hexagon(cp, cws)
-        assert calls == Counter(hexagon=1, _canonical_params=1), (p, ws)
-        calls.clear()
-        windowed_hexagon(p, ws)
-        assert calls["hexagon"] <= 2 and calls["_canonical_params"] == 1, (p, ws)
+        for given in ((cp, cws), (p, ws)):
+            calls.clear()
+            windowed_hexagon(*given)
+            assert calls == Counter(hexagon=1, _canonical_params=1), (p, ws)
     assert (len(placements), changed) == (62, 17)
+
+
+@cache
+def _hexagon_cells(p: HexParams) -> frozenset:
+    return hexagon(p).cells
+
+
+@cache
+def _window_cells(w: WindowSpec, axis: int) -> frozenset:
+    return w.cells(axis)
+
+
+def reference_check(p: HexParams, windows: list[WindowSpec]) -> None:
+    """The rasterizing checks the arithmetic validator replaced: each
+    window's cells must lie in the hexagon's and no two windows may share a
+    cell; then the size/order bookkeeping."""
+    hexa = _hexagon_cells(p)
+    win_cells = []
+    for w in windows:
+        if (w.base_row - (p.axis + w.size)) % 2:
+            raise ValueError(
+                f"window {w} is not lattice-symmetric about the axis "
+                f"(base row parity must equal axis+size parity)"
+            )
+        cs = _window_cells(w, p.axis)
+        if not cs <= hexa:
+            raise ValueError(f"window {w} does not fit inside the hexagon")
+        win_cells.append(cs)
+    for i in range(len(windows)):
+        for j in range(i + 1, len(windows)):
+            if win_cells[i] & win_cells[j]:
+                raise ValueError(f"windows {windows[i]} and {windows[j]} overlap")
+
+    odd_windows = [w for w in windows if not w.even]
+    if p.k % 2 == 0:
+        if odd_windows:
+            raise ValueError("even imbalance admits even windows only")
+        if any(w.kind != "DELTA" for w in windows):
+            raise ValueError("even imbalance admits DELTA windows only")
+        if sum(w.size for w in windows) != p.k:
+            raise ValueError(f"window sizes {[w.size for w in windows]} must total k={p.k}")
+        return
+    if len(odd_windows) != 1:
+        raise ValueError("odd imbalance needs exactly one odd window")
+    odd = odd_windows[0]
+    delta_total = sum(w.size for w in windows if w.kind == "DELTA")
+    nabla_total = sum(w.size for w in windows if w.kind == "NABLA")
+    if delta_total != nabla_total + p.k:
+        raise ValueError(
+            f"DELTA window total {delta_total} must exceed NABLA total {nabla_total} by k={p.k}"
+        )
+    for w in windows:
+        if w is odd:
+            continue
+        if w.kind == "DELTA":
+            if w.row_lo <= odd.row_hi:
+                raise ValueError(f"even DELTA window {w} must lie above the odd window")
+        elif w.row_hi >= odd.row_lo:
+            raise ValueError(f"even NABLA window {w} must lie below the odd window")
+
+
+def _first_error(check, p, ws):
+    try:
+        check(p, ws)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+REASONS = ("lattice-symmetric", "does not fit", "overlap")
+
+
+def test_validator_equals_the_rasterized_rule():
+    # every window of either kind and parity with size 1..nrows+2 and base
+    # row -2..nrows+2, alone on every hexagon with a, b, k <= 4, and every
+    # ordered pair of fitting windows (the same window twice included) for a <= 3
+    outcomes = Counter()
+    for a, b, k in product(range(1, 5), range(5), range(5)):
+        if b + k == 0:
+            continue
+        p = HexParams(a, b, k)
+        candidates = [
+            WindowSpec(kind, size, row)
+            for kind, size, row in product(
+                ("DELTA", "NABLA"), range(1, p.nrows + 3), range(-2, p.nrows + 3)
+            )
+        ]
+        sets = [[]] + [[w] for w in candidates]
+        if a <= 3:
+            fitting = [
+                w for w in candidates
+                if (w.base_row - p.axis - w.size) % 2 == 0
+                and _window_cells(w, p.axis) <= _hexagon_cells(p)
+            ]
+            sets += [list(pair) for pair in product(fitting, repeat=2)]
+        for ws in sets:
+            want = _first_error(reference_check, p, ws)
+            assert _first_error(regions._check, p, ws) == want, (p, ws)
+            reason = next((r for r in REASONS if want and r in want), want and "bookkeeping")
+            outcomes[len(ws), reason] += 1
+    assert outcomes == Counter({
+        (0, None): 16, (0, "bookkeeping"): 80,
+        (1, None): 200, (1, "lattice-symmetric"): 9760, (1, "does not fit"): 7627,
+        (1, "bookkeeping"): 1933,
+        (2, None): 480, (2, "overlap"): 25684, (2, "bookkeeping"): 22662,
+    })
 
 
 def test_cut_pieces_match_reduction_captions():

@@ -147,6 +147,9 @@ def test_cli_counts_hexagons_their_windows_absorb(capsys):
         # a bare unbalanced hexagon has no windows for the formula to read
         (["count", "--family", "H", "--a", "3", "--b", "3", "--k", "2", "--method", "formula"],
          "window sizes [] must total k=2"),
+        # the region comes from exactly one of the two sources
+        (["count"], "exactly one of --family and --in"),
+        (["count", "--in", "{missing}", "--family", "R"], "exactly one of --family and --in"),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, argv, needle):

@@ -9,7 +9,7 @@ import lozenge.verify as V
 from lozenge.cli import main
 from lozenge.lattice import Region
 from lozenge.count import count_oracle
-from lozenge.regions import HexParams, WindowSpec, _carve, hexagon, min_x, windowed_hexagon
+from lozenge.regions import HexParams, WindowSpec, _check, hexagon, min_x, windowed_hexagon
 from lozenge.verify import (
     CountReport,
     check_reachability,
@@ -377,7 +377,7 @@ def test_window_placements_are_every_set_carve_accepts():
                 if any(fitting[v] & fitting[w] for v, w in combinations(ws, 2)):
                     continue
                 try:
-                    _carve(p, list(ws))
+                    _check(p, list(ws))
                 except ValueError:
                     continue
                 want.add(frozenset(ws))
