@@ -7,7 +7,7 @@ reduce to), counts their weighted tilings by independent exact methods
 formulas), and verifies every identity tying the methods together.
 """
 
-from .exact import RationalMatrix, binomial, determinant, format_rational, shifted_factorial
+from .exact import RationalMatrix, binomial, determinant, format_rational
 from .lattice import (
     CutResult,
     Region,
@@ -42,7 +42,6 @@ from .formulas import (
     coeff_barC,
     coeff_barD,
     coeff_C,
-    coeff_C_product,
     coeff_D,
     macmahon,
     p_poly,

@@ -5,9 +5,9 @@ Subcommands: ``count`` (oracle / determinant / closed formula), ``formula``
 partitions), ``verify`` (identity sweeps with RESULT lines), ``render``
 (ASCII or SVG), and ``cut`` (split a mirror-symmetric region).  Exact
 values print as ``p/q`` or a bare integer.  Exit codes: 0 success,
-1 verification mismatch, 2 for any input error (a bad flag, a missing or
-malformed file, an invalid region or number), reported as one ``error:``
-line on stderr.
+1 verification mismatch, 2 for any input error (a bad flag, a flag the
+chosen family or formula does not read, a missing or malformed file, an
+invalid region or number), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -95,6 +95,21 @@ def build_region_from_args(args) -> Region:
     except DegenerateHexagon:
         # a legal region (with one tiling), but with no labels to read
         return carved_hexagon(params, windows)
+
+
+# the flags each region source and each formula reads; any other of them is refused
+REGION_FLAGS = {"R": "l q x", "Rbar": "l q x", "H": "a b k window", "--in": ""}
+FORMULA_FLAGS = {
+    "P": "l q x", "Pbar": "l q x", "B": "m n x", "Bbar": "m n x", "c": "l q", "cbar": "l q",
+}
+
+
+def refuse_unread(args, reads: dict[str, str], key: str, what: str) -> None:
+    """Raise on the flags of ``reads`` given to ``args`` that ``key`` does not read."""
+    flags = dict.fromkeys(" ".join(reads.values()).split())
+    unread = [f"--{f}" for f in flags if getattr(args, f) is not None and f not in reads[key].split()]
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(unread)}")
 
 
 def add_region_flags(sub: argparse.ArgumentParser):
@@ -286,8 +301,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if "infile" in vars(args) and (args.family is None) == (args.infile is None):
-            raise ValueError("a region needs exactly one of --family and --in")
+        if "infile" in vars(args):
+            if (args.family is None) == (args.infile is None):
+                raise ValueError("a region needs exactly one of --family and --in")
+            source = f"the {args.family} family" if args.family else "--in"
+            refuse_unread(args, REGION_FLAGS, args.family or "--in", source)
+        elif args.command == "formula":
+            refuse_unread(args, FORMULA_FLAGS, args.which, f"--which {args.which}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -285,18 +285,6 @@ def enumerate_tilings(r: Region):
         yield frozenset(acc)
 
 
-def enumerated_count(r: Region) -> Fraction:
-    """Weighted tiling count by walking every tiling (small regions).
-
-    Independent of the oracle's frontier DP; a tiling with h half-weighted
-    lozenges contributes 2**-h.
-    """
-    by_halves: dict[int, int] = {}
-    for _, h in _walk_tilings(r):
-        by_halves[h] = by_halves.get(h, 0) + 1
-    return sum((Fraction(n, 1 << h) for h, n in by_halves.items()), Fraction(0))
-
-
 @dataclass(frozen=True)
 class PathEndpoints:
     """Start and end segments of the path encoding, in determinant order."""

@@ -13,17 +13,6 @@ import math
 from fractions import Fraction
 
 
-def shifted_factorial(a: Fraction | int, k: int) -> Fraction:
-    """Rising product a(a+1)...(a+k-1); equals 1 for k = 0."""
-    if k < 0:
-        raise ValueError(f"shifted_factorial needs k >= 0, got {k}")
-    out = Fraction(1)
-    a = Fraction(a)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient with the convention C(n, k) = 0 outside 0 <= k <= n.
 

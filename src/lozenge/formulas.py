@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import binomial, shifted_factorial
+from .exact import binomial
 from .regions import IndexList, check_index_list
 
 FactorTable = dict[int, int]  # doubled offset h -> exponent of (y + h/2)
@@ -182,10 +182,6 @@ def bar_c_const(l, q) -> Fraction:
     return Fraction(*_const(check_index_list(l, "l"), check_index_list(q, "q"), True))
 
 
-def _h_multiset(lst: IndexList) -> list[int]:
-    return [h for i, v in enumerate(lst, start=1) for h in range(i + 1, v + 1)]
-
-
 def _p_poly(l, q, x: Fraction | int, barred: bool) -> Fraction:
     l = check_index_list(l, "l")
     q = check_index_list(q, "q")
@@ -201,33 +197,6 @@ def p_poly(l, q, x: Fraction | int) -> Fraction:
 def bar_p_poly(l, q, x: Fraction | int) -> Fraction:
     """Tiling polynomial of the shifted zigzag family, in product form."""
     return _p_poly(l, q, x, True)
-
-
-def p_poly_shifted_form(l, q, x: Fraction | int, barred: bool = False) -> Fraction:
-    """The same polynomials written through the partition cell statistic.
-
-    Evaluates the defining form P(x - largest_part) = const * base * linear
-    factors over partition cells; provided as an independent expression of
-    :func:`p_poly` and :func:`bar_p_poly` for cross-checking.
-    """
-    l = check_index_list(l, "l")
-    q = check_index_list(q, "q")
-    m, n = len(l), len(q)
-    lam1 = (l[-1] - m) if l else 0
-    y = Fraction(x) + lam1
-    base = _bar_b_table(m, n) if barred else _b_table(m, n)
-    val = _evaluate(_const(l, q, barred), base, y)
-    if barred:
-        for h in _h_multiset(l):
-            val *= (y - h + m + 1) * (y + h + n)
-        for h in _h_multiset(q):
-            val *= (y - h + n + 1) * (y + h + m)
-    else:
-        for h in _h_multiset(l):
-            val *= (y - h + m + 1) * (y + h + n + 1)
-        for h in _h_multiset(q):
-            val *= (y - h + n + 2) * (y + h + m)
-    return val
 
 
 def p_poly_degree(l, q, barred: bool = False) -> int:
@@ -286,27 +255,6 @@ def _coeff_lower(k: int, l, q, x: int, shift: int) -> Fraction:
 def coeff_C(k: int, l, q, x: int) -> Fraction:
     """Upper-bump elimination coefficient for the plain family (m <= n)."""
     return _coeff_upper(k, l, q, x, 0)
-
-
-def coeff_C_product(k: int, l, q, x: int) -> Fraction:
-    """The same coefficient written as one rising product.
-
-    A negative product length follows the reciprocal convention
-    (a)_{-j} = 1/((a-1)(a-2)...(a-j)).
-    """
-    l, q = check_index_list(l, "l"), check_index_list(q, "q")
-    m, n = len(l), len(q)
-    _need(1 <= k <= n, f"k={k} out of range 1..{n}")
-    lm = l[-1] if l else 0
-    qk = q[k - 1]
-    length = 2 * qk + m - n - 1
-    base = Fraction(x + lm - qk - m + n + 2)
-    if length >= 0:
-        rising = shifted_factorial(base, length)
-    else:
-        rising = 1 / shifted_factorial(base + length, -length)
-    num = (2 * x + 2 * lm - m + n + 2) * rising
-    return num / (2 * math.factorial(2 * qk + m - n))
 
 
 def coeff_D(k: int, l, q, x: int) -> Fraction:

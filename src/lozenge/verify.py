@@ -8,8 +8,7 @@ equal as rationals.
 The one-bump recurrences and frozen-edge reductions live only in the tables
 :func:`recurrence_terms` and :func:`frozen_edges` (coefficients and child
 members, never a value); the count check folds them with oracle counts, the
-polynomial check with polynomial values, :func:`instance_children` with
-the children alone.
+polynomial check with polynomial values.
 
 A windowed hexagon is checked in one place: :func:`hexagon_sides`
 canonicalizes, builds, cuts and predicts the two pieces once, and
@@ -63,13 +62,11 @@ __all__ = [
     "CountReport",
     "HexagonSides",
     "MemberValues",
-    "check_reachability",
     "expected_cut_pieces",
     "frozen_edges",
     "hexagon_formula",
     "hexagon_placements",
     "hexagon_sides",
-    "instance_children",
     "index_list_pairs",
     "nonempty_pairs",
     "recurrence_terms",
@@ -80,7 +77,6 @@ __all__ = [
     "sweep_region_formula",
     "verify_boundary_reductions",
     "verify_count_recurrences",
-    "verify_factorization",
     "verify_hexagon",
     "verify_increment_relations",
     "verify_poly_recurrences",
@@ -271,19 +267,6 @@ def hexagon_formula(p: HexParams, windows: list[WindowSpec]) -> Fraction:
     return 2**s.cut.width * family_poly(*s.plus) * family_poly(*s.minus)
 
 
-def _factorization_report(instance: str, width: int, whole, plus, minus) -> CountReport:
-    values = {"whole": whole, "split": Fraction(2) ** width * plus * minus}
-    return CountReport(f"factorization[{instance};w={width}]", values).close()
-
-
-def verify_factorization(r: Region) -> CountReport:
-    """Cutting along the mirror axis splits the count as 2**width times the
-    product of the two pieces' counts."""
-    cut = symmetry_axis_cut(r)
-    counts = count_oracle(r), count_oracle(cut.plus), count_oracle(cut.minus)
-    return _factorization_report("region", cut.width, *counts)
-
-
 def verify_hexagon(p: HexParams, windows: list[WindowSpec], *, values: MemberValues | None = None):
     """The one check of a windowed hexagon, yielding three reports as their
     values exist: the product formula (count * 2**-width = P(plus) *
@@ -302,7 +285,9 @@ def verify_hexagon(p: HexParams, windows: list[WindowSpec], *, values: MemberVal
     yield CountReport(f"{instance}:{s.family}", formula).close()
 
     counts = count_oracle(s.cut.plus), count_oracle(s.cut.minus)
-    yield _factorization_report(instance, s.cut.width, whole, *counts)
+    split = Fraction(2) ** s.cut.width * counts[0] * counts[1]
+    factorization = {"whole": whole, "split": split}
+    yield CountReport(f"factorization[{instance};w={s.cut.width}]", factorization).close()
 
     rep = CountReport(f"{instance}:{s.family}:pieces")
     ok = True
@@ -485,48 +470,6 @@ def verify_increment_relations(l, q, k: int, x: int, which: str = "l") -> CountR
 
     rep.match = ok
     return rep
-
-
-# ---------------------------------------------------------------------------
-# induction reachability
-
-
-def instance_children(family: str, l: IndexList, q: IndexList, x: int):
-    """The smaller instances the applicable recurrence or boundary reduction
-    rewrites (family, l, q, x) into; empty exactly at the base case."""
-    l, q = check_index_list(l), check_index_list(q)
-    if not (l or q):
-        return []
-    lo = min_x(l, q, family == "Rbar")
-    if x < lo:
-        raise ValueError(f"invalid instance {family} l={l} q={q} x={x}")
-    if x > lo:
-        return [child for _, child in recurrence_terms(family, l, q, x)]
-    return [next(child for _, xx, _, child in frozen_edges(family, l, q) if xx == lo)]
-
-
-def check_reachability(family: str, l, q, x: int) -> int:
-    """Walk the recurrence tree down to empty lists; returns the number of
-    distinct instances visited.  Raises if any child is invalid or fails to
-    shrink the induction rank."""
-
-    def rank(fam, ll, qq, xx):
-        return ((ll[-1] if ll else 0) + len(qq) + xx, 0 if fam == "Rbar" else 1)
-
-    seen = set()
-
-    def walk_down(fam, ll, qq, xx):
-        key = (fam, ll, qq, xx)
-        if key in seen:
-            return
-        seen.add(key)
-        for child in instance_children(fam, ll, qq, xx):
-            if rank(*child) >= rank(fam, ll, qq, xx):
-                raise AssertionError(f"rank failed to drop: {key} -> {child}")
-            walk_down(*child)
-
-    walk_down(family, check_index_list(l), check_index_list(q), x)
-    return len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from lozenge.count import NORTHWEST, SOUTHWEST, count_gv, count_oracle, gv_matrix
-from lozenge.exact import binomial, shifted_factorial as sf
+from lozenge.exact import binomial
 from lozenge.formulas import (
     b_poly,
     bar_b_poly,
@@ -20,7 +20,6 @@ from lozenge.formulas import (
     coeff_barC,
     coeff_barD,
     coeff_C,
-    coeff_C_product,
     coeff_D,
     macmahon,
 )
@@ -37,6 +36,7 @@ from lozenge.verify import (
     verify_hexagon,
     verify_poly_recurrences,
 )
+from references import coeff_C_product, shifted_factorial as sf
 
 HALF = Fraction(1, 2)
 

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lozenge.exact import (
-    RationalMatrix,
-    binomial,
-    determinant,
-    format_rational,
-    shifted_factorial,
-)
+from lozenge.exact import RationalMatrix, binomial, determinant, format_rational
+from references import shifted_factorial
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12

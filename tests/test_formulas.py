@@ -6,23 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lozenge.count import count_oracle
-from lozenge.exact import shifted_factorial as sf
 from lozenge.formulas import (
+    _b_table,
+    _bar_b_table,
+    _const,
+    _evaluate,
     b_poly,
     bar_b_poly,
     bar_c_const,
     bar_p_poly,
     c_const,
     coeff_C,
-    coeff_C_product,
     coeff_D,
     macmahon,
     p_poly,
     p_poly_degree,
-    p_poly_shifted_form,
 )
-from lozenge.regions import HexParams, hexagon, r_bar_region, r_region
+from lozenge.regions import HexParams, check_index_list, hexagon, r_bar_region, r_region
 from lozenge.verify import index_list_pairs
+from references import coeff_C_product, shifted_factorial as sf
 
 HALF = Fraction(1, 2)
 
@@ -288,9 +290,38 @@ def _fact(n):
     return out
 
 
-def test_anchored_cell_statistic_examples():
-    from lozenge.formulas import _h_multiset
+def _h_multiset(lst) -> list[int]:
+    return [h for i, v in enumerate(lst, start=1) for h in range(i + 1, v + 1)]
 
+
+def p_poly_shifted_form(l, q, x, barred: bool = False) -> Fraction:
+    """The tiling polynomials written through the partition cell statistic.
+
+    Evaluates the defining form P(x - largest_part) = const * base * linear
+    factors over partition cells, an independent expression of the linear
+    factors of :func:`p_poly` and :func:`bar_p_poly`.
+    """
+    l = check_index_list(l, "l")
+    q = check_index_list(q, "q")
+    m, n = len(l), len(q)
+    lam1 = (l[-1] - m) if l else 0
+    y = Fraction(x) + lam1
+    base = _bar_b_table(m, n) if barred else _b_table(m, n)
+    val = _evaluate(_const(l, q, barred), base, y)
+    if barred:
+        for h in _h_multiset(l):
+            val *= (y - h + m + 1) * (y + h + n)
+        for h in _h_multiset(q):
+            val *= (y - h + n + 1) * (y + h + m)
+    else:
+        for h in _h_multiset(l):
+            val *= (y - h + m + 1) * (y + h + n + 1)
+        for h in _h_multiset(q):
+            val *= (y - h + n + 2) * (y + h + m)
+    return val
+
+
+def test_anchored_cell_statistic_examples():
     assert _h_multiset((2, 3)) == [2, 3]
     # anchored statistic depends on the list, not only on the parts
     assert _h_multiset((2,)) == [2]

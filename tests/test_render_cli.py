@@ -4,7 +4,7 @@ import pytest
 
 from lozenge.cli import main
 from lozenge.count import enumerate_tilings
-from lozenge.lattice import lozenge, region_from_text
+from lozenge.lattice import lozenge, region_from_text, region_to_text
 from lozenge.regions import HexParams, hexagon, r_region
 from lozenge.render import first_tiling, render_ascii, render_svg, validate_tiling
 
@@ -150,10 +150,19 @@ def test_cli_counts_hexagons_their_windows_absorb(capsys):
         # the region comes from exactly one of the two sources
         (["count"], "exactly one of --family and --in"),
         (["count", "--in", "{missing}", "--family", "R"], "exactly one of --family and --in"),
+        # a flag that the region's source or the formula does not read
+        (["count", "--family", "R", "--l", "1", "--x", "1", "--a", "5", "--window", "D:2@2"],
+         "the R family does not read --a, --window"),
+        (["count", "--family", "H", "--a", "2", "--b", "2", "--k", "0", "--l", "3", "--x", "9"],
+         "the H family does not read --l, --x"),
+        (["count", "--in", "{unit}", "--x", "3"], "--in does not read --x"),
+        (["formula", "--which", "c", "--l", "1", "--x", "5", "--m", "3"], "--which c does not read --x, --m"),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, argv, needle):
-    argv = [arg.format(missing=tmp_path / "missing.tri") for arg in argv]
+    unit = tmp_path / "unit.tri"
+    unit.write_text(region_to_text(hexagon(HexParams(1, 1, 0))), encoding="utf-8")
+    argv = [arg.format(missing=tmp_path / "missing.tri", unit=unit) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

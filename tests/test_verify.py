@@ -7,22 +7,19 @@ import pytest
 
 import lozenge.verify as V
 from lozenge.cli import main
-from lozenge.lattice import Region
+from lozenge.lattice import Region, symmetry_axis_cut
 from lozenge.count import count_oracle
 from lozenge.regions import HexParams, WindowSpec, _check, hexagon, min_x, windowed_hexagon
 from lozenge.verify import (
     CountReport,
-    check_reachability,
     hexagon_formula,
     frozen_edges,
     hexagon_placements,
     hexagon_sides,
-    instance_children,
     nonempty_pairs,
     recurrence_terms,
     verify_boundary_reductions,
     verify_count_recurrences,
-    verify_factorization,
     verify_hexagon,
     verify_increment_relations,
     verify_poly_recurrences,
@@ -88,13 +85,22 @@ def test_increment_relation_examples():
         verify_increment_relations((1, 2), (), 1, 3, "l")  # no longer increasing
 
 
+def factorization_report(r: Region) -> CountReport:
+    """Cutting any region along its mirror axis splits the count as
+    2**width times the product of the two pieces' counts."""
+    cut = symmetry_axis_cut(r)
+    values = {"whole": count_oracle(r)}
+    values["split"] = Fraction(2) ** cut.width * count_oracle(cut.plus) * count_oracle(cut.minus)
+    return CountReport(f"factorization[region;w={cut.width}]", values).close()
+
+
 def test_factorization_examples():
-    assert verify_factorization(hexagon(HexParams(2, 2, 0))).match
+    assert factorization_report(hexagon(HexParams(2, 2, 0))).match
     region, _, _, _ = windowed_hexagon(
         HexParams(6, 5, 4), [WindowSpec("DELTA", 2, 0), WindowSpec("DELTA", 2, 8)]
     )
-    assert verify_factorization(region).match
-    rep = verify_factorization(Region())
+    assert factorization_report(region).match
+    rep = factorization_report(Region())
     assert rep.match and rep.values["whole"] == 1
 
 
@@ -204,6 +210,43 @@ def test_report_line_format():
     rep = CountReport("thing[x=1]", {"a": Fraction(3, 2), "b": Fraction(3, 2)})
     rep.match = True
     assert rep.line() == "RESULT thing[x=1] a=3/2 b=3/2 match=true"
+
+
+def instance_children(family: str, l, q, x: int):
+    """The smaller instances the applicable recurrence or boundary reduction
+    rewrites (family, l, q, x) into; empty exactly at the base case."""
+    if not (l or q):
+        return []
+    lo = min_x(l, q, family == "Rbar")
+    if x < lo:
+        raise ValueError(f"invalid instance {family} l={l} q={q} x={x}")
+    if x > lo:
+        return [child for _, child in recurrence_terms(family, l, q, x)]
+    return [next(child for _, xx, _, child in frozen_edges(family, l, q) if xx == lo)]
+
+
+def check_reachability(family: str, l, q, x: int) -> int:
+    """Walk the recurrence tree down to empty lists; returns the number of
+    distinct instances visited.  Raises if any child is invalid or fails to
+    shrink the induction rank."""
+
+    def rank(fam, ll, qq, xx):
+        return ((ll[-1] if ll else 0) + len(qq) + xx, 0 if fam == "Rbar" else 1)
+
+    seen = set()
+
+    def walk_down(fam, ll, qq, xx):
+        key = (fam, ll, qq, xx)
+        if key in seen:
+            return
+        seen.add(key)
+        for child in instance_children(fam, ll, qq, xx):
+            if rank(*child) >= rank(fam, ll, qq, xx):
+                raise AssertionError(f"rank failed to drop: {key} -> {child}")
+            walk_down(*child)
+
+    walk_down(family, l, q, x)
+    return len(seen)
 
 
 def test_instance_children_shapes():
