@@ -6,8 +6,9 @@ partitions), ``verify`` (identity sweeps with RESULT lines), ``render``
 (ASCII or SVG), and ``cut`` (split a mirror-symmetric region).  Exact
 values print as ``p/q`` or a bare integer.  Exit codes: 0 success,
 1 verification mismatch, 2 for any input error (a bad flag, a flag the
-chosen family or formula does not read, a missing or malformed file, an
-invalid region or number), reported as one ``error:`` line on stderr.
+chosen family, formula or count method does not read, a missing or
+malformed file, an invalid region or number), reported as one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -97,11 +98,13 @@ def build_region_from_args(args) -> Region:
         return carved_hexagon(params, windows)
 
 
-# the flags each region source and each formula reads; any other of them is refused
+# the flags each region source, each formula and each count method reads;
+# any other of them is refused
 REGION_FLAGS = {"R": "l q x", "Rbar": "l q x", "H": "a b k window", "--in": ""}
 FORMULA_FLAGS = {
     "P": "l q x", "Pbar": "l q x", "B": "m n x", "Bbar": "m n x", "c": "l q", "cbar": "l q",
 }
+METHOD_FLAGS = {"oracle": "", "gv": "side", "formula": ""}
 
 
 def refuse_unread(args, reads: dict[str, str], key: str, what: str) -> None:
@@ -143,7 +146,7 @@ def cmd_count(args) -> int:
             raise ValueError("the formula method needs a constructed family, not a file")
         elif args.method == "gv":
             family, l, q, x = member_from_args(args)
-            value = count_gv(reg, l, q, x, family, args.side)
+            value = count_gv(reg, l, q, x, family, args.side or SOUTHWEST)
         else:
             value = V.family_poly(*member_from_args(args))
     print(format_rational(value))
@@ -252,7 +255,10 @@ def main(argv=None) -> int:
     p_count = subs.add_parser("count", help="count weighted tilings of one region")
     add_region_flags(p_count)
     p_count.add_argument("--method", choices=["oracle", "gv", "formula"], default="oracle")
-    p_count.add_argument("--side", choices=[SOUTHWEST, NORTHWEST], default=SOUTHWEST)
+    p_count.add_argument(
+        "--side", choices=[SOUTHWEST, NORTHWEST],
+        help="side the paths start on, read by --method gv only (default southwest)",
+    )
     p_count.set_defaults(func=cmd_count)
 
     p_formula = subs.add_parser("formula", help="evaluate a closed formula")
@@ -306,6 +312,8 @@ def main(argv=None) -> int:
                 raise ValueError("a region needs exactly one of --family and --in")
             source = f"the {args.family} family" if args.family else "--in"
             refuse_unread(args, REGION_FLAGS, args.family or "--in", source)
+            if args.command == "count":
+                refuse_unread(args, METHOD_FLAGS, args.method, f"--method {args.method}")
         elif args.command == "formula":
             refuse_unread(args, FORMULA_FLAGS, args.which, f"--which {args.which}")
         return args.func(args)

@@ -8,8 +8,10 @@ backward partner is that up cell, so it is never covered before the pair
 is reached.  A 120-degree turn of the lattice maps tilings to tilings and
 keeps every weight, so on a large region the oracle ranks the three
 orientations by a bound on their frontier states and scans the cheapest.
-Only half-weighted positions carry a weight in the DP, so a region
-without them is counted in plain integer counts.  It works on any region.
+The orientations are ranked on their sorted cell lists, and the half
+positions are turned only for the scan that runs.  Only half-weighted
+positions carry a weight in the DP, so a region without them is counted
+in plain integer counts.  It works on any region.
 
 ``count_gv`` applies the nonintersecting-path determinant method to the
 two zigzag-anchored families: tilings biject onto tuples of paths of
@@ -22,7 +24,7 @@ east and southeast).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -84,24 +86,30 @@ def _turn(cell: Cell) -> Cell:
     return col // 2, -col - 2 * row - 2
 
 
-def _turned(r: Region, k: int) -> tuple[list[Cell], frozenset[Loz]]:
-    """The sorted cells and the half positions of r turned k times."""
+def _turned_half(half, k: int) -> list[Loz]:
+    """The half positions turned k times, each position sorted."""
     for _ in range(k):
-        r = r.moved(_turn)
-    return sorted(r.cells), r.half
+        half = [tuple(sorted((_turn(a), _turn(b)))) for a, b in half]
+    return list(half)
 
 
 def _scan_plan(r: Region) -> tuple[int, list[Step]]:
-    """How many turns the oracle scans r after, and the steps of that scan."""
+    """How many turns the oracle scans r after, and the steps of that scan.
+
+    The orientations are ranked on their sorted cell lists alone; the half
+    positions are turned only for the orientation that is scanned.
+    """
     cells = sorted(r.cells)
     steps, row_bound = _scan_steps(cells, r.half)
     if row_bound <= 16 * len(cells):
         return 0, steps
-    orientations = [(cells, r.half), _turned(r, 1), _turned(r, 2)]
-    costs = [_position_bound(c) + (len(c) if k else 0) for k, (c, _) in enumerate(orientations)]
+    orientations = [cells]
+    for _ in range(2):
+        orientations.append(sorted(map(_turn, orientations[-1])))
+    costs = [_position_bound(c) + (len(c) if k else 0) for k, c in enumerate(orientations)]
     k = costs.index(min(costs))
     if k:
-        steps, _ = _scan_steps(*orientations[k])
+        steps, _ = _scan_steps(orientations[k], _turned_half(r.half, k))
     return k, steps
 
 
@@ -118,9 +126,12 @@ def _scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
     The row bound sums C(ups_r, carry_r) * len_r over rows, where carry_r,
     the downs minus the ups of the rows below, is the number of up cells of
     row r covered when its scan starts.
+
+    A down cell's east partner is the next cell of its row, and the up
+    cell above it is found by a pointer that moves forward through the
+    next row's cells as the scan moves east.
     """
     ncells = len(cells)
-    index = {c: i for i, c in enumerate(cells)}
     # the other cell of each half position, keyed by its first scanned cell
     marked: dict[Cell, list[Cell]] = {}
     for a, b in half:
@@ -133,10 +144,14 @@ def _scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
     row_bound = carry = 0  # carry: downs minus ups of the rows below
     start = 0
     while start < ncells:
-        end = bisect_left(cells, (cells[start][0] + 1,), start)
+        row = cells[start][0]
+        end = bisect_left(cells, (row + 1,), start)
+        # cells[end:top] is row + 1, empty when that row has no cells
+        top = bisect_left(cells, (row + 2,), end)
+        above = end
         ups = 0
         for i in range(start, end):
-            row, col = cell = cells[i]
+            col = cells[i][1]
             if not col & 1:
                 ups += 1
                 # without its east neighbour it has no forward partner
@@ -144,13 +159,17 @@ def _scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
                     steps.append((False, 1, []))
                 continue
             pair = i > start and cells[i - 1][1] == col - 1
-            own = marked.get(cell, ())
-            unused = len(own) + (pair and cell in marked.get(cells[i - 1], ()))
+            own, unused = (), 0
+            if marked:
+                own = marked.get(cells[i], ())
+                unused = len(own) + (pair and cells[i] in marked.get(cells[i - 1], ()))
             slots = []
-            for mate in ((row, col + 1), (row + 1, col - 1)):
-                m = index.get(mate)
-                if m is not None:
-                    slots.append((1 << (m - i + pair), 1 << (unused - (mate in own))))
+            if i + 1 < end and cells[i + 1][1] == col + 1:
+                slots.append((2 << pair, 1 << (unused - ((row, col + 1) in own))))
+            while above < top and cells[above][1] < col - 1:
+                above += 1
+            if above < top and cells[above][1] == col - 1:
+                slots.append((1 << (above - i + pair), 1 << (unused - ((row + 1, col - 1) in own))))
             if pair:
                 slots += [(1, 0)] * (2 - len(slots))
             steps.append((pair, 1 << len(own), slots))
@@ -168,19 +187,33 @@ def _position_bound(cells: list[Cell]) -> int:
     The covered cells ahead of the scan at (row, col) are up cells: of this
     row at or after col, or of the next row at columns <= col - 2 (above a
     scanned down cell).  There are ``live`` of those, and ``covered``, the
-    downs minus the ups scanned so far, of them are covered.
+    downs minus the ups scanned so far, of them are covered.  Each row is
+    walked with the count of its up cells not yet scanned and a pointer
+    into the next row that passes its up cells west of col - 1.
     """
-    ups: dict[int, list[int]] = {}
-    for row, col in cells:
-        if not col & 1:
-            ups.setdefault(row, []).append(col)
-    bound = covered = 0
-    for row, col in cells:
-        here, above = ups.get(row, []), ups.get(row + 1, [])
-        live = len(here) - bisect_left(here, col) + bisect_right(above, col - 2)
-        if covered >= 0:
-            bound += comb(live, covered)
-        covered += 1 if col & 1 else -1
+    ncells = len(cells)
+    bound = covered = start = 0
+    while start < ncells:
+        row = cells[start][0]
+        end = bisect_left(cells, (row + 1,), start)
+        # cells[end:top] is row + 1, empty when that row has no cells
+        top = bisect_left(cells, (row + 2,), end)
+        here = sum(1 for i in range(start, end) if not cells[i][1] & 1)
+        above = end
+        passed = 0  # up cells of row + 1 west of col - 1
+        for i in range(start, end):
+            col = cells[i][1]
+            while above < top and cells[above][1] <= col - 2:
+                passed += not cells[above][1] & 1
+                above += 1
+            if covered >= 0:
+                bound += comb(here + passed, covered)
+            if col & 1:
+                covered += 1
+            else:
+                here -= 1
+                covered -= 1
+        start = end
     return bound
 
 

@@ -126,23 +126,25 @@ def eliminate_forced(r: Region) -> tuple[Region, Fraction, bool]:
         for cell in pending:
             if cell not in cells:
                 continue
-            live = [p for p in partners(cell) if p in cells]
+            row, col = cell
+            west, east = (row, col - 1), (row, col + 1)
+            vertical = (row + 1, col - 1) if col & 1 else (row - 1, col + 1)
+            live = (west in cells) + (east in cells) + (vertical in cells)
             if not live:
                 return Region(frozenset(cells), frozenset(
                     pos for pos in half if pos[0] in cells and pos[1] in cells)), factor, True
-            if len(live) > 1:
+            if live > 1:
                 continue
-            mate = live[0]
-            pos = lozenge(cell, mate)
+            mate = west if west in cells else east if east in cells else vertical
+            pos = (cell, mate) if cell < mate else (mate, cell)
             if pos in half:
                 factor /= 2
                 half.discard(pos)
             cells.discard(cell)
             cells.discard(mate)
-            for removed in (cell, mate):
-                for p in partners(removed):
-                    if p in cells:
-                        nxt.append(p)
+            # the mate was the cell's only partner, so only the mate's
+            # partners can have lost one
+            nxt.extend(p for p in partners(mate) if p in cells)
         pending = sorted(set(nxt))
     half = {pos for pos in half if pos[0] in cells and pos[1] in cells}
     return Region(frozenset(cells), frozenset(half)), factor, False
@@ -175,23 +177,31 @@ def congruent(r1: Region, r2: Region) -> bool:
 def mirror_axis(r: Region) -> int:
     """The integer p such that r is symmetric about the line x = p/2.
 
-    Raises ValueError when no vertical mirror axis exists.
+    The lowest row fixes the only candidate p; then every cell's image
+    ``(row, 2p - 2row - 2 - col)`` must be in ``r.cells`` and every half
+    position's image in ``r.half``, a membership test per cell and per
+    position that builds no mirrored region.  Raises ValueError when no
+    vertical mirror axis exists.
     """
-    if not r.cells:
+    cells = r.cells
+    if not cells:
         return 0
-    rows: dict[int, list[int]] = {}
-    for row, col in r.cells:
-        rows.setdefault(row, []).append(col)
-    row0, cols0 = next(iter(sorted(rows.items())))
-    s = min(cols0) + max(cols0)
+    row0, lo = min(cells)
+    s = lo + max(col for row, col in cells if row == row0)
     if s % 2:
         raise ValueError("region has no vertical mirror axis")
     p = (s + 2 * row0 + 2) // 2
-    mirrored = r.moved(lambda cell: (cell[0], 2 * p - 2 * cell[0] - 2 - cell[1]))
-    if mirrored.cells != r.cells:
-        raise ValueError("region has no vertical mirror axis")
-    if mirrored.half != r.half:
-        raise ValueError("half-weighted positions are not mirror symmetric")
+    # the image of (row, col) is (row, m - 2 * row - col)
+    m = 2 * p - 2
+    for row, col in cells:
+        if (row, m - 2 * row - col) not in cells:
+            raise ValueError("region has no vertical mirror axis")
+    # r.half equals its image, a set of sorted positions, when each of its
+    # positions is sorted and has its sorted image in r.half
+    for a, b in r.half:
+        ma, mb = (a[0], m - 2 * a[0] - a[1]), (b[0], m - 2 * b[0] - b[1])
+        if not a < b or ((ma, mb) if ma < mb else (mb, ma)) not in r.half:
+            raise ValueError("half-weighted positions are not mirror symmetric")
     return p
 
 

@@ -1,13 +1,60 @@
-"""Reference forms that more than one test module compares the package with.
+"""Reference forms, and the inputs, that more than one test module compares
+the package with.
 
-Each writes out again, independently, something the package computes
-another way; the package itself never calls them.
+Each reference writes out again, independently, something the package
+computes another way; the package itself never calls them.
 """
 
 import math
 from fractions import Fraction
 
-from lozenge.regions import check_index_list
+from hypothesis import strategies as st
+
+from lozenge.lattice import Region, balance, is_up, lozenge, partners, symmetry_axis_cut
+from lozenge.regions import (
+    HexParams,
+    check_index_list,
+    hexagon,
+    min_x,
+    r_bar_region,
+    r_region,
+    windowed_hexagon,
+)
+from lozenge.verify import hexagon_placements, nonempty_pairs
+
+
+def sweep_regions():
+    """Each whole of ``hexagon_placements(5, 4, 3)`` followed by its two cut
+    pieces (1416 regions), then the R and Rbar members with entries <= 3,
+    lengths <= 2 and x from ``min_x`` to ``min_x + 2`` (288 regions)."""
+    for p, ws in hexagon_placements(5, 4, 3):
+        whole, _, _, _ = windowed_hexagon(p, ws)
+        cut = symmetry_axis_cut(whole)
+        yield from (whole, cut.plus, cut.minus)
+    for l, q in nonempty_pairs(3, 2):
+        for barred in (False, True):
+            lo = min_x(l, q, barred)
+            for x in range(lo, lo + 3):
+                yield (r_bar_region if barred else r_region)(l, q, x)
+
+
+@st.composite
+def holey_subregions(draw) -> Region:
+    """A small hexagon with random cells removed, rebalanced by removing
+    more cells of the surplus orientation, with random half weights."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    cells = sorted(hexagon(HexParams(a, b, draw(st.integers(0 if b else 1, 2)))).cells)
+    gone = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3))
+    kept = [c for c in cells if c not in gone]
+    surplus = balance(Region(frozenset(kept)))
+    if surplus:
+        extra = [c for c in kept if is_up(c) == (surplus > 0)]
+        gone |= set(draw(st.lists(st.sampled_from(extra), min_size=abs(surplus),
+                                  max_size=abs(surplus), unique=True)))
+    cells = frozenset(c for c in cells if c not in gone)
+    positions = sorted(lozenge(c, m) for c in cells for m in partners(c) if m in cells and c < m)
+    half = draw(st.sets(st.sampled_from(positions))) if positions else set()
+    return Region(cells, frozenset(half))
 
 
 def shifted_factorial(a: Fraction | int, k: int) -> Fraction:

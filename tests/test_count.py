@@ -1,18 +1,21 @@
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from lozenge.count import (
     NORTHWEST,
     SOUTHWEST,
     PathEndpoints,
+    Step,
     _frontier_sum,
+    _position_bound,
     _scan_plan,
     _scan_steps,
     _turn,
-    _turned,
+    _turned_half,
     _walk_tilings,
     count_gv,
     count_oracle,
@@ -20,7 +23,7 @@ from lozenge.count import (
     gv_matrix,
 )
 from lozenge.exact import RationalMatrix, determinant
-from lozenge.lattice import Region, balance, is_up, lozenge, partners, region, symmetry_axis_cut
+from lozenge.lattice import Cell, Loz, Region, balance, is_up, lozenge, partners, region, symmetry_axis_cut
 from lozenge.regions import (
     HexParams,
     WindowSpec,
@@ -32,6 +35,7 @@ from lozenge.regions import (
     zigzag_walk,
 )
 from lozenge.verify import hexagon_placements, nonempty_pairs
+from references import holey_subregions, sweep_regions
 
 
 def enumerated_count(r: Region) -> Fraction:
@@ -81,11 +85,112 @@ def reference_oracle(r: Region) -> Fraction:
     return Fraction(states.get(0, 0), 1 << (ncells // 2))
 
 
+def reference_turned(r: Region, k: int) -> tuple[list[Cell], frozenset[Loz]]:
+    """The sorted cells and the half positions of r turned k times, each
+    turn building the whole turned region."""
+    for _ in range(k):
+        r = r.moved(_turn)
+    return sorted(r.cells), r.half
+
+
+def reference_scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
+    """:func:`lozenge.count._scan_steps` finding each forward partner by
+    its key in a dict from cell to scan index."""
+    ncells = len(cells)
+    index = {c: i for i, c in enumerate(cells)}
+    marked: dict[Cell, list[Cell]] = {}
+    for a, b in half:
+        marked.setdefault(a, []).append(b)
+    steps: list[Step] = []
+    row_bound = carry = 0
+    start = 0
+    while start < ncells:
+        end = bisect_left(cells, (cells[start][0] + 1,), start)
+        ups = 0
+        for i in range(start, end):
+            row, col = cell = cells[i]
+            if not col & 1:
+                ups += 1
+                if i + 1 == end or cells[i + 1][1] != col + 1:
+                    steps.append((False, 1, []))
+                continue
+            pair = i > start and cells[i - 1][1] == col - 1
+            own = marked.get(cell, ())
+            unused = len(own) + (pair and cell in marked.get(cells[i - 1], ()))
+            slots = []
+            for mate in ((row, col + 1), (row + 1, col - 1)):
+                m = index.get(mate)
+                if m is not None:
+                    slots.append((1 << (m - i + pair), 1 << (unused - (mate in own))))
+            if pair:
+                slots += [(1, 0)] * (2 - len(slots))
+            steps.append((pair, 1 << len(own), slots))
+        if carry >= 0:
+            row_bound += comb(ups, carry) * (end - start)
+        carry += end - start - 2 * ups
+        start = end
+    return steps, row_bound
+
+
+def reference_position_bound(cells: list[Cell]) -> int:
+    """:func:`lozenge.count._position_bound` counting the live up cells of
+    each scan position by bisecting per-row lists of up columns."""
+    ups: dict[int, list[int]] = {}
+    for row, col in cells:
+        if not col & 1:
+            ups.setdefault(row, []).append(col)
+    bound = covered = 0
+    for row, col in cells:
+        here, above = ups.get(row, []), ups.get(row + 1, [])
+        live = len(here) - bisect_left(here, col) + bisect_right(above, col - 2)
+        if covered >= 0:
+            bound += comb(live, covered)
+        covered += 1 if col & 1 else -1
+    return bound
+
+
+def reference_scan_plan(r: Region) -> tuple[int, list[Step]]:
+    """:func:`lozenge.count._scan_plan` on the three references above."""
+    cells = sorted(r.cells)
+    steps, row_bound = reference_scan_steps(cells, r.half)
+    if row_bound <= 16 * len(cells):
+        return 0, steps
+    orientations = [(cells, r.half), reference_turned(r, 1), reference_turned(r, 2)]
+    costs = [reference_position_bound(c) + (len(c) if k else 0)
+             for k, (c, _) in enumerate(orientations)]
+    k = costs.index(min(costs))
+    if k:
+        steps, _ = reference_scan_steps(*orientations[k])
+    return k, steps
+
+
+def turned_cells(r: Region, turns: int) -> list[Cell]:
+    """The sorted cells of r turned the given number of times, as the
+    oracle ranks them."""
+    cells = sorted(r.cells)
+    for _ in range(turns):
+        cells = sorted(map(_turn, cells))
+    return cells
+
+
+def assert_scan_equals_references(r: Region) -> None:
+    """The plan, and in each orientation the turned cells and half
+    positions, the steps with the row bound and the position bound, equal
+    the references'."""
+    assert _scan_plan(r) == reference_scan_plan(r)
+    for k in range(3):
+        cells, half = turned_cells(r, k), _turned_half(r.half, k)
+        want_cells, want_half = reference_turned(r, k)
+        assert cells == want_cells
+        assert len(half) == len(want_half) and set(half) == want_half
+        assert _scan_steps(cells, half) == reference_scan_steps(cells, want_half)
+        assert _position_bound(cells) == reference_position_bound(cells)
+
+
 def scanned_count(r: Region, turns: int) -> Fraction:
     """The oracle's DP on r scanned after the given number of turns."""
-    cells, half = _turned(r, turns)
-    steps, _ = _scan_steps(cells, half)
-    return Fraction(_frontier_sum(steps), 1 << len(half))
+    steps, _ = _scan_steps(turned_cells(r, turns), _turned_half(r.half, turns))
+    return Fraction(_frontier_sum(steps), 1 << len(r.half))
 
 
 def per_cell_states(cells) -> int:
@@ -153,6 +258,16 @@ def test_oracle_equals_per_cell_reference_on_zigzag_members():
     assert checked == 2 * 3 * (7 * 7 - 1)
 
 
+def test_scan_helpers_equal_their_references_on_the_sweeps():
+    regions = list(sweep_regions())
+    assert len(regions) == 3 * 472 + 2 * 3 * (7 * 7 - 1)
+    for r in regions:
+        assert_scan_equals_references(r)
+    # 184 of the wholes are scanned turned, so the comparison covers the
+    # ranking and the turned scans
+    assert sum(1 for r in regions if _scan_plan(r)[0]) == 184
+
+
 def components(r: Region) -> int:
     seen, count = set(), 0
     for start in r.cells:
@@ -185,25 +300,6 @@ def test_property_examples_have_the_shapes_they_stand_for():
     assert count_oracle(HOLED) > 0 and count_oracle(TWO_PIECES) > 0
 
 
-@st.composite
-def holey_subregions(draw) -> Region:
-    """A small hexagon with random cells removed, rebalanced by removing
-    more cells of the surplus orientation, with random half weights."""
-    a, b = draw(st.integers(1, 3)), draw(st.integers(0, 2))
-    cells = sorted(hexagon(HexParams(a, b, draw(st.integers(0 if b else 1, 2)))).cells)
-    gone = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3))
-    kept = [c for c in cells if c not in gone]
-    surplus = balance(Region(frozenset(kept)))
-    if surplus:
-        extra = [c for c in kept if is_up(c) == (surplus > 0)]
-        gone |= set(draw(st.lists(st.sampled_from(extra), min_size=abs(surplus),
-                                  max_size=abs(surplus), unique=True)))
-    cells = frozenset(c for c in cells if c not in gone)
-    positions = sorted(lozenge(c, m) for c in cells for m in partners(c) if m in cells and c < m)
-    half = draw(st.sets(st.sampled_from(positions))) if positions else set()
-    return Region(cells, frozenset(half))
-
-
 @settings(max_examples=150, deadline=None)
 @given(holey_subregions())
 @example(UNIT)
@@ -215,6 +311,15 @@ def test_oracle_agrees_with_weighted_enumeration_on_random_subregions(r):
     # each turn moves half weights onto other lozenge orientations
     for turns in range(3):
         assert scanned_count(r, turns) == want, turns
+
+
+@settings(max_examples=150, deadline=None)
+@given(holey_subregions())
+@example(UNIT)
+@example(HOLED)
+@example(TWO_PIECES)
+def test_scan_helpers_equal_their_references_on_random_subregions(r):
+    assert_scan_equals_references(r)
 
 
 def test_turn_has_order_three_and_maps_lozenges_to_lozenges():
@@ -231,12 +336,12 @@ def test_turned_region_keeps_cells_half_positions_and_count():
     r = r_bar_region((2, 4), (1, 3), 2)
     assert r.half
     for turns in range(3):
-        cells, half = _turned(r, turns)
+        cells, half = turned_cells(r, turns), _turned_half(r.half, turns)
         assert len(set(cells)) == len(r.cells) and cells == sorted(cells)
-        assert len(half) == len(r.half)
+        assert len(set(half)) == len(r.half)
         assert all(a < b and b in partners(a) and a in cells and b in cells for a, b in half)
         assert scanned_count(r, turns) == count_oracle(r)
-    assert _turned(r, 3) == _turned(r, 0) == (sorted(r.cells), set(r.half))
+    assert turned_cells(r, 3) == sorted(r.cells) and set(_turned_half(r.half, 3)) == r.half
 
 
 def test_scan_orientation_on_the_ladder_rungs():
@@ -245,7 +350,7 @@ def test_scan_orientation_on_the_ladder_rungs():
     holey, _, _, _ = windowed_hexagon(HexParams(7, 6, 3), [WindowSpec("DELTA", 3, 3)])
     turns, _ = _scan_plan(holey)
     assert turns
-    assert per_cell_states(_turned(holey, turns)[0]) <= 500_000
+    assert per_cell_states(turned_cells(holey, turns)) <= 500_000
     # the plain s,s,s hexagons look alike in every orientation and keep it
     for s in range(4, 8):
         assert _scan_plan(hexagon(HexParams(s, s, 0)))[0] == 0

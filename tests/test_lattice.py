@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lozenge.count import count_oracle
 from lozenge.lattice import (
+    Cell,
     Region,
     balance,
     congruent,
@@ -20,6 +21,7 @@ from lozenge.lattice import (
     vertebra_labels,
 )
 from lozenge.regions import HexParams, WindowSpec, hexagon, r_region, windowed_hexagon
+from references import holey_subregions, sweep_regions
 
 
 def test_partner_geometry_is_symmetric():
@@ -131,6 +133,98 @@ def test_mirror_axis_detection():
     bad = Region(r.cells, frozenset({lozenge((0, -1), (0, 0))}))
     with pytest.raises(ValueError):
         mirror_axis(bad)
+
+
+def reference_mirror_axis(r: Region) -> int:
+    """:func:`lozenge.lattice.mirror_axis` comparing r with the whole
+    mirrored region."""
+    if not r.cells:
+        return 0
+    rows: dict[int, list[int]] = {}
+    for row, col in r.cells:
+        rows.setdefault(row, []).append(col)
+    row0, cols0 = next(iter(sorted(rows.items())))
+    s = min(cols0) + max(cols0)
+    if s % 2:
+        raise ValueError("region has no vertical mirror axis")
+    p = (s + 2 * row0 + 2) // 2
+    mirrored = r.moved(lambda cell: (cell[0], 2 * p - 2 * cell[0] - 2 - cell[1]))
+    if mirrored.cells != r.cells:
+        raise ValueError("region has no vertical mirror axis")
+    if mirrored.half != r.half:
+        raise ValueError("half-weighted positions are not mirror symmetric")
+    return p
+
+
+def reference_eliminate_forced(r: Region) -> tuple[Region, Fraction, bool]:
+    """:func:`lozenge.lattice.eliminate_forced` listing each cell's live
+    partners and queueing the partners of both removed cells."""
+    cells = set(r.cells)
+    half = set(r.half)
+    factor = Fraction(1)
+    pending = sorted(cells)
+    while pending:
+        nxt: list[Cell] = []
+        for cell in pending:
+            if cell not in cells:
+                continue
+            live = [p for p in partners(cell) if p in cells]
+            if not live:
+                return Region(frozenset(cells), frozenset(
+                    pos for pos in half if pos[0] in cells and pos[1] in cells)), factor, True
+            if len(live) > 1:
+                continue
+            mate = live[0]
+            pos = lozenge(cell, mate)
+            if pos in half:
+                factor /= 2
+                half.discard(pos)
+            cells.discard(cell)
+            cells.discard(mate)
+            for removed in (cell, mate):
+                for p in partners(removed):
+                    if p in cells:
+                        nxt.append(p)
+        pending = sorted(set(nxt))
+    half = {pos for pos in half if pos[0] in cells and pos[1] in cells}
+    return Region(frozenset(cells), frozenset(half)), factor, False
+
+
+def axis_or_error(find_axis, r: Region):
+    """The axis find_axis gives for r, or the text of its ValueError."""
+    try:
+        return find_axis(r)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_lattice_helpers_equal_references(r: Region) -> None:
+    assert axis_or_error(mirror_axis, r) == axis_or_error(reference_mirror_axis, r)
+    assert eliminate_forced(r) == reference_eliminate_forced(r)
+
+
+def test_lattice_helpers_equal_their_references_on_the_sweeps():
+    regions = list(sweep_regions())
+    assert len(regions) == 3 * 472 + 2 * 3 * (7 * 7 - 1)
+    for r in regions:
+        assert_lattice_helpers_equal_references(r)
+
+
+UNIT = hexagon(HexParams(1, 1, 0))
+HEX2 = hexagon(HexParams(2, 2, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(holey_subregions())
+# mirror-symmetric cells whose half positions are not symmetric
+@example(Region(UNIT.cells, frozenset({((0, -1), (0, 0))})))
+# and whose half positions are
+@example(Region(UNIT.cells, frozenset({((0, -1), (0, 0)), ((0, 0), (0, 1))})))
+# the axis lozenge written both ways round: its mirror image is itself,
+# but the mirrored positions, all sorted, are one fewer
+@example(Region(HEX2.cells, frozenset({((0, 1), (1, 0)), ((1, 0), (0, 1))})))
+def test_lattice_helpers_equal_their_references_on_random_subregions(r):
+    assert_lattice_helpers_equal_references(r)
 
 
 def test_cut_on_plain_hexagon():

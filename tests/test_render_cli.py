@@ -157,6 +157,11 @@ def test_cli_counts_hexagons_their_windows_absorb(capsys):
          "the H family does not read --l, --x"),
         (["count", "--in", "{unit}", "--x", "3"], "--in does not read --x"),
         (["formula", "--which", "c", "--l", "1", "--x", "5", "--m", "3"], "--which c does not read --x, --m"),
+        # --side is read by the determinant method alone
+        (["count", "--family", "R", "--l", "1", "--x", "1", "--side", "northwest", "--method", "oracle"],
+         "--method oracle does not read --side"),
+        (["count", "--family", "R", "--l", "1", "--x", "1", "--side", "northwest", "--method", "formula"],
+         "--method formula does not read --side"),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, argv, needle):
