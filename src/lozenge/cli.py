@@ -244,8 +244,17 @@ def cmd_verify(args) -> int:
     return 1 if mismatches else 0
 
 
+class Parser(argparse.ArgumentParser):
+    """A parser that raises its usage errors as ``ValueError``, so that
+    :func:`main` reports them as one ``error:`` line with exit code 2;
+    its subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="lozenge",
         description="Exact weighted lozenge-tiling counts for hexagons with "
         "triangular holes and their zigzag-anchored reductions.",
@@ -305,8 +314,8 @@ def main(argv=None) -> int:
     p_cut.add_argument("--out-minus")
     p_cut.set_defaults(func=cmd_cut)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if "infile" in vars(args):
             if (args.family is None) == (args.infile is None):
                 raise ValueError("a region needs exactly one of --family and --in")

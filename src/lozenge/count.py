@@ -353,90 +353,94 @@ def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, RationalMatr
     and ends run bottom to top on the southwestern side and top to bottom
     on the northwestern.
 
-    The sweep runs once for all start segments: each segment carries one
-    Python int per start, the sum over paths of the product of doubled
-    step weights (2 for weight 1, 1 for weight 1/2).  Every step adds 1 to
-    va+vb on the southwestern side and to va on the northwestern side, so
-    all paths from u to v have the same number of steps, steps(v) -
-    steps(u), and the (u, v) entry is the integer sum divided by
-    2**(steps(v) - steps(u)).
+    The sweep runs once for all start segments and carries one Python int
+    per segment, packing a field per start: field i, at bit ``width * i``,
+    holds the sum over paths from start i of the product of doubled step
+    weights (2 for weight 1, 1 for weight 1/2), so a step adds the packed
+    int shifted left by one, or the int itself for a half-weighted lozenge.
+    Every step adds 1 to va+vb on the southwestern side and to va on the
+    northwestern side, so all paths from u to v have the same number of
+    steps, steps(v) - steps(u), and the (u, v) entry is the field divided
+    by 2**(steps(v) - steps(u)).  With d = steps(v) - steps(u) there are
+    at most 2**d such paths, each weighing at most 2**d doubled, so the
+    field is at most 4**d.  Let span be the largest ``steps`` of an end
+    minus the smallest of a start: a field at a segment from which an end
+    is reached is at most 4**span, so ``width = 2 * span + 1`` bits keep
+    those fields from carrying into each other, and a segment that reaches
+    no end adds to none.
     """
     cells = region.cells
-    half = region.half
-    # transitions(seg) yields (mate cell, sorted lozenge position, next segment)
-    if side == SOUTHWEST:
-        order_key = lambda seg: seg
-        steps = lambda seg: seg[0] + seg[1]
+    # each half-weighted position in either order, so (pivot, mate) looks it up
+    half = {pos for a, b in region.half for pos in ((a, b), (b, a))}
+    southwest = side == SOUTHWEST
+    if southwest:
+        order_key = None
+        steps = sum  # va + vb
         row_order = lambda seg: seg[1]
-        def transitions(seg: Vertex):
-            va, vb = seg
-            pivot = (vb, 2 * va + 1)
-            if pivot in cells:
-                east, northeast = (vb, 2 * va + 2), (vb + 1, 2 * va)
-                yield east, (pivot, east), (va + 1, vb)
-                yield northeast, (pivot, northeast), (va, vb + 1)
     else:
         order_key = lambda seg: (seg[0], -seg[1])
         steps = lambda seg: seg[0]
         row_order = lambda seg: -seg[1]
-        def transitions(seg: Vertex):
-            va, vb = seg
-            pivot = (vb, 2 * va)
-            if pivot in cells:
-                east, southeast = (vb, 2 * va + 1), (vb - 1, 2 * va + 1)
-                yield east, (pivot, east), (va + 1, vb)
-                yield southeast, (southeast, pivot), (va + 1, vb - 1)
 
-    # the segment west of each pivot cell, which may move on, plus the ends;
-    # both moves strictly increase the order key, so one sorted sweep is a
-    # valid topological order
-    pivot_parity = 1 if side == SOUTHWEST else 0
-    universe: set[Vertex] = set()
+    # the segment west of each pivot cell, from which paths move on; both
+    # moves strictly increase the order key, so one sorted sweep of these
+    # is a valid topological order.  A move reaches the segment east of its
+    # mate cell, which is swept if the next cell is in the region and an
+    # end if not, so no end is swept.
+    pivot_parity = 1 if southwest else 0
+    swept: list[Vertex] = []
     starts: list[Vertex] = []
     ends: list[Vertex] = []
     for row, col in cells:
-        if col % 2 == pivot_parity:
+        if col & 1 == pivot_parity:
             seg = (col // 2, row)
-            universe.add(seg)
+            swept.append(seg)
             if (row, col - 1) not in cells:
                 starts.append(seg)
         elif (row, col + 1) not in cells:
             ends.append(((col + 1) // 2, row))
-    universe.update(ends)
     starts.sort(key=row_order)
     ends.sort(key=row_order)
-    order = sorted(universe, key=order_key)
+    swept.sort(key=order_key)
 
-    n = len(starts)
-    sums: dict[Vertex, list[int]] = {}
-    for i, u in enumerate(starts):
-        sums.setdefault(u, [0] * n)[i] = 1
-    # a vector is dropped once propagated, unless its segment is an end, so
-    # only the sweep front is held in memory
-    keep = set(ends)
-    for seg in order:
-        vec = sums.get(seg) if seg in keep else sums.pop(seg, None)
+    span = max(map(steps, ends), default=0) - min(map(steps, starts), default=0)
+    # a negative span means no start reaches an end: every field stays 0
+    width = 2 * max(span, 0) + 1
+    # a segment's int is dropped once propagated, so only the sweep front
+    # and the ends are held in memory
+    sums: dict[Vertex, int] = {u: 1 << (width * i) for i, u in enumerate(starts)}
+    get, pop = sums.get, sums.pop
+    for seg in swept:
+        vec = pop(seg, None)
         if vec is None:
             continue
-        for mate, pos, nxt in transitions(seg):
-            if mate in cells:
-                w2 = 1 if pos in half else 2
-                acc = sums.get(nxt)
-                if acc is None:
-                    sums[nxt] = [w2 * v for v in vec]
-                else:
-                    sums[nxt] = [a + w2 * v for a, v in zip(acc, vec)]
+        va, vb = seg
+        # the flat move east, then the standing (southwest) or the
+        # sloping (northwest) one
+        if southwest:
+            pivot = (vb, 2 * va + 1)
+            east, east_next = (vb, 2 * va + 2), (va + 1, vb)
+            turn, turn_next = (vb + 1, 2 * va), (va, vb + 1)
+        else:
+            pivot = (vb, 2 * va)
+            east, east_next = (vb, 2 * va + 1), (va + 1, vb)
+            turn, turn_next = (vb - 1, 2 * va + 1), (va + 1, vb - 1)
+        if east in cells:
+            sums[east_next] = get(east_next, 0) + (vec if (pivot, east) in half else vec << 1)
+        if turn in cells:
+            sums[turn_next] = get(turn_next, 0) + (vec if (pivot, turn) in half else vec << 1)
 
-    unreached = [0] * n
-    columns = [sums.get(v, unreached) for v in ends]
+    mask = (1 << width) - 1
+    columns = [(steps(v), get(v, 0)) for v in ends]
     zero = Fraction(0)
     rows = []
     for i, u in enumerate(starts):
-        su = steps(u)
-        rows.append([
-            Fraction(col[i], 1 << (steps(v) - su)) if col[i] else zero
-            for v, col in zip(ends, columns)
-        ])
+        su, shift = steps(u), width * i
+        row = []
+        for sv, packed in columns:
+            field = packed >> shift & mask
+            row.append(Fraction(field, 1 << (sv - su)) if field else zero)
+        rows.append(row)
     return PathEndpoints(side, tuple(starts), tuple(ends)), RationalMatrix(rows)
 
 

@@ -24,6 +24,8 @@ Two groups of families live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import lt
 
 from .lattice import Cell, Loz, Region, eliminate_forced, lozenge, vertebra_labels
 
@@ -41,10 +43,12 @@ IndexList = tuple[int, ...]
 
 
 def check_index_list(lst, name: str = "list") -> IndexList:
-    lst = tuple(int(v) for v in lst)
-    if any(v < 1 for v in lst):
-        raise ValueError(f"{name} must contain positive integers, got {lst}")
-    if any(lst[i] >= lst[i + 1] for i in range(len(lst) - 1)):
+    """The entries as a tuple of ints; raises ``ValueError`` unless they are
+    positive and strictly increasing."""
+    lst = tuple(map(int, lst))
+    if lst and (lst[0] < 1 or not all(map(lt, lst, lst[1:]))):
+        if any(v < 1 for v in lst):
+            raise ValueError(f"{name} must contain positive integers, got {lst}")
         raise ValueError(f"{name} must be strictly increasing, got {lst}")
     return lst
 
@@ -90,27 +94,29 @@ def rasterize(boundary: list[Vertex]) -> frozenset[Cell]:
     Every non-horizontal boundary edge crosses exactly one row strip; its
     quarter-unit x position at mid-strip is ``2*(va1+va2) + (vb1+vb2)``,
     always odd, while cell centers sit at even quarter positions, so
-    crossings and centers never collide.
+    crossings and centers never collide.  The crossings are sorted once as
+    ``(strip, x)`` pairs, so consecutive pairs are the spans of one row.
+    Cell (r, c) is centered at 2c + 2r + 2, so the span from crossing left
+    to crossing right holds columns (left - 2r - 1) / 2 up to, not
+    including, (right - 2r - 1) / 2.  An odd number of crossings on any
+    strip shows up as an odd total or as a pair that spans two strips.
     """
     if boundary[0] != boundary[-1]:
         raise ValueError("boundary walk does not close")
-    crossings: dict[int, list[int]] = {}
-    for (va1, vb1), (va2, vb2) in zip(boundary, boundary[1:]):
-        if vb1 == vb2:
-            continue
-        strip = min(vb1, vb2)
-        crossings.setdefault(strip, []).append(2 * (va1 + va2) + (vb1 + vb2))
-    cells: set[Cell] = set()
-    for row, xs in crossings.items():
-        xs.sort()
-        if len(xs) % 2:
-            raise ValueError("boundary is not a closed curve (odd crossing count)")
-        for left, right in zip(xs[::2], xs[1::2]):
-            first = (left + 1 - (2 * row + 2)) // 2
-            last = (right - 1 - (2 * row + 2)) // 2
-            for col in range(first, last + 1):
-                cells.add((row, col))
-    return frozenset(cells)
+    crossings = sorted([
+        (vb1 if vb1 < vb2 else vb2, 2 * (va1 + va2) + vb1 + vb2)
+        for (va1, vb1), (va2, vb2) in zip(boundary, boundary[1:])
+        if vb1 != vb2
+    ])
+    unclosed = "boundary is not a closed curve (odd crossing count)"
+    if len(crossings) % 2:
+        raise ValueError(unclosed)
+    spans = []
+    for (row, left), (other, right) in zip(crossings[::2], crossings[1::2]):
+        if row != other:  # a strip with an odd count of crossings
+            raise ValueError(unclosed)
+        spans.append(zip(repeat(row), range((left - 2 * row - 1) // 2, (right - 2 * row - 1) // 2)))
+    return frozenset(chain.from_iterable(spans))
 
 
 # ---------------------------------------------------------------------------

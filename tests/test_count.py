@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lozenge.count import (
     NORTHWEST,
@@ -11,6 +12,7 @@ from lozenge.count import (
     PathEndpoints,
     Step,
     _frontier_sum,
+    _path_matrix,
     _position_bound,
     _scan_plan,
     _scan_steps,
@@ -466,6 +468,35 @@ def test_gv_matrix_equals_per_start_reference_sweep():
                     assert matrix == want, (family, l, q, x, side)
                     checked += 1
     assert checked == 4 * 2 * (7 * 7 - 1)
+
+
+@pytest.mark.parametrize(
+    "family,l,q,x",
+    [
+        # the count_ladder benchmark's R rungs and CI's large Rbar member
+        ("R", (1, 3, 5, 7, 9, 11), (), 40),
+        ("R", tuple(range(1, 11)), (), 40),
+        ("R", (2, 4, 6, 8, 10, 12, 14, 16), (), 40),
+        ("Rbar", (2, 5, 7), (1, 4, 6), 3),
+    ],
+)
+def test_gv_matrix_equals_per_start_reference_sweep_on_large_members(family, l, q, x):
+    # long paths fill the packed per-start fields of the sweep
+    for side in (SOUTHWEST, NORTHWEST):
+        ep, matrix = gv_matrix(l, q, x, family, side)
+        assert matrix == reference_path_matrix(zigzag_walk(l, q, x, family == "Rbar"), ep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(holey_subregions(), st.integers(-2, 2))
+@example(Region(frozenset({(0, 3)})), 0)  # southwest: a start and no end
+@example(Region(frozenset({(0, -2)})), 0)  # southwest: an end and no start
+def test_path_matrix_equals_per_start_reference_sweep_on_random_subregions(r, shift):
+    # moved so that segment steps are negative on either side
+    r = r.translate(shift, 4 * shift)
+    for side in (SOUTHWEST, NORTHWEST):
+        ep, matrix = _path_matrix(r, side)
+        assert matrix == reference_path_matrix(r, ep)
 
 
 def reference_tilings(r: Region):

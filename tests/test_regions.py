@@ -39,6 +39,90 @@ def test_index_list_helpers():
         increment((1, 2), 1)
 
 
+def reference_check_index_list(lst, name: str = "list"):
+    """Each entry checked positive, then each adjacent pair increasing."""
+    lst = tuple(int(v) for v in lst)
+    if any(v < 1 for v in lst):
+        raise ValueError(f"{name} must contain positive integers, got {lst}")
+    if any(lst[i] >= lst[i + 1] for i in range(len(lst) - 1)):
+        raise ValueError(f"{name} must be strictly increasing, got {lst}")
+    return lst
+
+
+def _value_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize(
+    "lst",
+    [(), (1,), (0,), (3, 0), (2, 2), (-1, 5), (1, 4, 9), (2, 3, 5, 7), (1, 5, 3), (4, 2, 0),
+     ["1", "3"], ["2", "x"], [1.5, 2]],
+)
+def test_index_list_check_equals_its_reference(lst):
+    for name in ("list", "l"):
+        want = _value_or_error(reference_check_index_list, lst, name)
+        assert _value_or_error(check_index_list, lst, name) == want
+        assert _value_or_error(check_index_list, (v for v in lst), name) == want
+
+
+def reference_rasterize(boundary):
+    """Crossings binned per row strip, each strip sorted, each cell added."""
+    if boundary[0] != boundary[-1]:
+        raise ValueError("boundary walk does not close")
+    crossings = {}
+    for (va1, vb1), (va2, vb2) in zip(boundary, boundary[1:]):
+        if vb1 == vb2:
+            continue
+        strip = min(vb1, vb2)
+        crossings.setdefault(strip, []).append(2 * (va1 + va2) + (vb1 + vb2))
+    cells = set()
+    for row, xs in crossings.items():
+        xs.sort()
+        if len(xs) % 2:
+            raise ValueError("boundary is not a closed curve (odd crossing count)")
+        for left, right in zip(xs[::2], xs[1::2]):
+            first = (left + 1 - (2 * row + 2)) // 2
+            last = (right - 1 - (2 * row + 2)) // 2
+            for col in range(first, last + 1):
+                cells.add((row, col))
+    return frozenset(cells)
+
+
+def test_regions_rasterize_as_their_reference_does(monkeypatch):
+    def built():
+        out = []
+        for p, ws in hexagon_placements(6, 6, 3):
+            out.append(hexagon(p))
+            out += [w.cells(p.axis) for w in ws]
+        for l, q in nonempty_pairs(4, 2):
+            for barred in (False, True):
+                lo = min_x(l, q, barred)
+                out += [zigzag_walk(l, q, x, barred) for x in range(lo, lo + 3)]
+        return out
+
+    got = built()
+    monkeypatch.setattr(regions, "rasterize", reference_rasterize)
+    assert built() == got
+
+
+@pytest.mark.parametrize(
+    "boundary",
+    [
+        [(0, 0), (1, 0), (0, 1)],  # does not close
+        [(0, 0), (0, 1), (0, 2), (0, 0)],  # three crossings
+        [(0, 0), (0, 2), (0, 4), (0, 3), (0, 0)],  # one crossing each on strips 2 and 3
+        # a U: two spans on row 1
+        regions.walk((0, 0), (regions.E, 5), (regions.NE, 2), (regions.W, 1), (regions.SW, 1),
+                     (regions.W, 2), (regions.NW, 1), (regions.W, 1), (regions.SW, 2)),
+    ],
+)
+def test_rasterize_equals_its_reference_on_drawn_boundaries(boundary):
+    assert _value_or_error(regions.rasterize, boundary) == _value_or_error(reference_rasterize, boundary)
+
+
 def test_unit_hexagon():
     r = hexagon(HexParams(1, 1, 0))
     assert len(r.cells) == 6

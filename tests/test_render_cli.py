@@ -162,6 +162,12 @@ def test_cli_counts_hexagons_their_windows_absorb(capsys):
          "--method oracle does not read --side"),
         (["count", "--family", "R", "--l", "1", "--x", "1", "--side", "northwest", "--method", "formula"],
          "--method formula does not read --side"),
+        # flags that the parser itself refuses
+        (["count", "--family", "R", "--l", "1", "--x", "1/2"], "argument --x: invalid int value: '1/2'"),
+        (["count", "--family", "R", "--l", "1", "--x", "1", "--method", "nope"],
+         "argument --method: invalid choice: 'nope'"),
+        (["count", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, argv, needle):
@@ -174,6 +180,15 @@ def test_cli_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, argv,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and needle in lines[0]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]])
+def test_cli_help_exits_0_with_its_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: lozenge") and captured.err == ""
 
 
 def test_cli_formula_values(capsys):
