@@ -7,7 +7,7 @@ reduce to), counts their weighted tilings by independent exact methods
 formulas), and verifies every identity tying the methods together.
 """
 
-from .exact import RationalMatrix, binomial, determinant, format_rational
+from .exact import DyadicMatrix, binomial, determinant
 from .lattice import (
     CutResult,
     Region,

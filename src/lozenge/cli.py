@@ -20,7 +20,6 @@ from itertools import islice
 
 from . import verify as V
 from .count import NORTHWEST, SOUTHWEST, count_gv, count_oracle
-from .exact import format_rational
 from .formulas import b_poly, bar_b_poly, bar_c_const, bar_p_poly, c_const, macmahon, p_poly
 from .lattice import Region, region_from_text, region_to_text, symmetry_axis_cut
 from .regions import (
@@ -149,7 +148,7 @@ def cmd_count(args) -> int:
             value = count_gv(reg, l, q, x, family, args.side or SOUTHWEST)
         else:
             value = V.family_poly(*member_from_args(args))
-    print(format_rational(value))
+    print(value)
     return 0
 
 
@@ -169,7 +168,7 @@ def cmd_formula(args) -> int:
         l = parse_index_list(args.l or "-", "l")
         q = parse_index_list(args.q or "-", "q")
         value = (c_const if which == "c" else bar_c_const)(l, q)
-    print(format_rational(value))
+    print(value)
     return 0
 
 

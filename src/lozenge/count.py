@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact import RationalMatrix, determinant
+from .exact import DyadicMatrix, determinant
 from .lattice import Cell, Loz, Region, balance, is_up, lozenge
 from .regions import IndexList, Vertex, zigzag_walk
 
@@ -331,8 +331,9 @@ class PathEndpoints:
         return len(self.starts)
 
 
-def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, RationalMatrix]:
-    """Single-path generating functions between boundary segments.
+def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, DyadicMatrix]:
+    """Single-path generating functions between boundary segments, as
+    integer fields and the step count of each start and each end.
 
     Southwestern encoding: segment (va, vb) is the edge between the up cell
     (vb, 2va) and the down cell (vb, 2va+1); a path steps east to
@@ -360,14 +361,14 @@ def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, RationalMatr
     int shifted left by one, or the int itself for a half-weighted lozenge.
     Every step adds 1 to va+vb on the southwestern side and to va on the
     northwestern side, so all paths from u to v have the same number of
-    steps, steps(v) - steps(u), and the (u, v) entry is the field divided
-    by 2**(steps(v) - steps(u)).  With d = steps(v) - steps(u) there are
-    at most 2**d such paths, each weighing at most 2**d doubled, so the
-    field is at most 4**d.  Let span be the largest ``steps`` of an end
-    minus the smallest of a start: a field at a segment from which an end
-    is reached is at most 4**span, so ``width = 2 * span + 1`` bits keep
-    those fields from carrying into each other, and a segment that reaches
-    no end adds to none.
+    steps, d = steps(v) - steps(u).  The fields are returned as they are,
+    with steps(u) for each start and steps(v) for each end, as a
+    :class:`DyadicMatrix`.  There are at most 2**d paths from u to v, each
+    weighing at most 2**d doubled, so the field is at most 4**d.  Let span
+    be the largest ``steps`` of an end minus the smallest of a start: a
+    field at a segment from which an end is reached is at most 4**span, so
+    ``width = 2 * span + 1`` bits keep those fields from carrying into each
+    other, and a segment that reaches no end adds to none.
     """
     cells = region.cells
     # each half-weighted position in either order, so (pivot, mate) looks it up
@@ -431,22 +432,15 @@ def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, RationalMatr
             sums[turn_next] = get(turn_next, 0) + (vec if (pivot, turn) in half else vec << 1)
 
     mask = (1 << width) - 1
-    columns = [(steps(v), get(v, 0)) for v in ends]
-    zero = Fraction(0)
-    rows = []
-    for i, u in enumerate(starts):
-        su, shift = steps(u), width * i
-        row = []
-        for sv, packed in columns:
-            field = packed >> shift & mask
-            row.append(Fraction(field, 1 << (sv - su)) if field else zero)
-        rows.append(row)
-    return PathEndpoints(side, tuple(starts), tuple(ends)), RationalMatrix(rows)
+    columns = [get(v, 0) for v in ends]
+    fields = [[packed >> (width * i) & mask for packed in columns] for i in range(len(starts))]
+    matrix = DyadicMatrix(fields, [steps(u) for u in starts], [steps(v) for v in ends])
+    return PathEndpoints(side, tuple(starts), tuple(ends)), matrix
 
 
 def gv_matrix(
     l: IndexList, q: IndexList, x: int, family: str, side: str = SOUTHWEST
-) -> tuple[PathEndpoints, RationalMatrix]:
+) -> tuple[PathEndpoints, DyadicMatrix]:
     """Endpoints and the path-count matrix for one family member."""
     if family not in ("R", "Rbar"):
         raise ValueError(f"family must be 'R' or 'Rbar', got {family!r}")

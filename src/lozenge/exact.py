@@ -1,16 +1,18 @@
-"""Exact rational arithmetic helpers and fraction-free determinants.
+"""Binomials, and exact determinants of matrices scaled by powers of two.
 
-All counting in this package is exact.  Rational values are
-``fractions.Fraction`` instances (always in lowest terms, positive
-denominator), and determinants are computed by Bareiss fraction-free
-elimination over integers after clearing denominators, so intermediate
-values never leave Z.
+All counting in this package is exact.  A path matrix keeps each entry
+as an integer field over a power of two (:class:`DyadicMatrix`), and its
+determinant is Bareiss fraction-free elimination on the fields, so every
+intermediate value stays in Z; the powers of two meet only once, in the
+``Fraction`` the determinant returns.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 
 def binomial(n: int, k: int) -> int:
@@ -26,30 +28,42 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class RationalMatrix:
-    """Dense matrix of Fractions, used for path generating functions."""
+class DyadicMatrix:
+    """A matrix of integer fields, each over a power of two.
 
-    __slots__ = ("rows", "cols", "entries")
+    Row i carries ``row_steps[i]`` and column j ``col_steps[j]``, and the
+    (i, j) entry is ``fields[i][j] / 2**(col_steps[j] - row_steps[i])``.
+    """
 
-    def __init__(self, entries: list[list[Fraction]]):
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        for row in entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows in RationalMatrix")
-        # Fractions are immutable, so entries that already are one are kept
-        self.entries = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in entries]
+    __slots__ = ("fields", "row_steps", "col_steps", "rows")
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.entries!r})"
+    def __init__(self, fields: list[list[int]], row_steps: list[int], col_steps: list[int]):
+        self.fields = fields
+        self.row_steps = row_steps
+        self.col_steps = col_steps
+        self.rows = len(row_steps)
 
 
-def _int_determinant(a: list[list[int]]) -> int:
-    """Bareiss elimination; mutates its argument."""
-    n = len(a)
+def determinant(m: DyadicMatrix) -> Fraction:
+    """Exact determinant; the empty 0x0 matrix has determinant 1.
+
+    Taking 2**row_steps[i] out of row i and 2**-col_steps[j] out of column j
+    leaves the fields, so their determinant is scaled by
+    2**(sum(row_steps) - sum(col_steps)).  Bareiss elimination runs on a
+    copy of the fields with each row divided by the largest power of two
+    that divides all of it: a path field carries a factor 2 per step of
+    weight 1, and Bareiss slows as its operands grow.
+    """
+    n = m.rows
+    if n != len(m.col_steps):
+        raise ValueError(f"determinant needs a square matrix, got {n}x{len(m.col_steps)}")
+    e = sum(m.row_steps) - sum(m.col_steps)
+    a = []
+    for row in m.fields:
+        low = reduce(or_, row, 0)
+        t = max((low & -low).bit_length() - 1, 0)  # 0 for a zero row
+        a.append([f >> t for f in row])
+        e += t
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -60,7 +74,7 @@ def _int_determinant(a: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return Fraction(0)
         pivot = a[k][k]
         for i in range(k + 1, n):
             row_i = a[i]
@@ -71,26 +85,5 @@ def _int_determinant(a: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1] if n else 1
-
-
-def determinant(m: RationalMatrix) -> Fraction:
-    """Exact determinant; the empty 0x0 matrix has determinant 1."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    cleared: list[list[int]] = []
-    for row in m.entries:
-        den = math.lcm(*(v.denominator for v in row))
-        scale *= den
-        cleared.append([v.numerator * (den // v.denominator) for v in row])
-    return Fraction(_int_determinant(cleared), scale)
-
-
-def format_rational(v: Fraction | int) -> str:
-    """Render as ``p/q``, or plain ``n`` for integers."""
-    v = Fraction(v)
-    return str(v)
+    det = sign * a[n - 1][n - 1] if n else 1
+    return Fraction(det << e) if e >= 0 else Fraction(det, 1 << -e)

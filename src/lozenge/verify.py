@@ -30,7 +30,6 @@ from functools import cache
 from itertools import combinations, product as cartesian
 
 from .count import NORTHWEST, SOUTHWEST, count_gv, count_oracle
-from .exact import format_rational
 from .formulas import (
     bar_c_const,
     bar_p_poly,
@@ -110,7 +109,7 @@ class CountReport:
 
     def line(self) -> str:
         parts = [f"RESULT {self.instance}"]
-        parts += [f"{k}={format_rational(v)}" for k, v in self.values.items()]
+        parts += [f"{k}={v}" for k, v in self.values.items()]
         parts.append(f"match={'true' if self.match else 'false'}")
         return " ".join(parts)
 

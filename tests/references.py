@@ -57,6 +57,18 @@ def holey_subregions(draw) -> Region:
     return Region(cells, frozenset(half))
 
 
+def rational_rows(m) -> list[list[Fraction]]:
+    """The entries of a :class:`lozenge.exact.DyadicMatrix` as Fraction rows.
+
+    An end can have fewer steps than a start (its field is then 0), so the
+    power of two is read as a Fraction, whose exponent may be negative.
+    """
+    return [
+        [Fraction(f) / Fraction(2) ** (cs - rs) for f, cs in zip(row, m.col_steps, strict=True)]
+        for row, rs in zip(m.fields, m.row_steps, strict=True)
+    ]
+
+
 def shifted_factorial(a: Fraction | int, k: int) -> Fraction:
     """Rising product a(a+1)...(a+k-1); equals 1 for k = 0."""
     if k < 0:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lozenge.exact import RationalMatrix, binomial, determinant, format_rational
-from references import shifted_factorial
+from lozenge.exact import DyadicMatrix, binomial, determinant
+from references import rational_rows, shifted_factorial
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -39,15 +39,17 @@ def test_binomial_examples():
 
 
 def test_determinant_small_cases():
-    assert determinant(RationalMatrix([])) == 1
-    eye = RationalMatrix([[Fraction(i == j) for j in range(3)] for i in range(3)])
+    assert determinant(DyadicMatrix([], [], [])) == 1
+    eye = DyadicMatrix([[int(i == j) for j in range(3)] for i in range(3)], [0] * 3, [0] * 3)
     assert determinant(eye) == 1
-    assert determinant(RationalMatrix([[1, 2], [3, 4]])) == -2
+    assert determinant(DyadicMatrix([[1, 2], [3, 4]], [0, 0], [0, 0])) == -2
+    # entries 1/2**-1, 2/2**1, 3/2**0, 4/2**2: det [[2, 1], [3, 1]]
+    assert determinant(DyadicMatrix([[1, 2], [3, 4]], [1, 0], [0, 2])) == -1
 
 
 def test_determinant_requires_square():
     with pytest.raises(ValueError):
-        determinant(RationalMatrix([[1, 2, 3], [4, 5, 6]]))
+        determinant(DyadicMatrix([[1, 2, 3], [4, 5, 6]], [0, 0], [0, 0, 0]))
 
 
 def _cofactor_det(rows):
@@ -63,11 +65,21 @@ def _cofactor_det(rows):
     return total
 
 
+@st.composite
+def dyadic_matrices(draw) -> DyadicMatrix:
+    """Square matrices of size 0-4 with fields in -50..50 and steps in
+    -3..3, so every entry exponent occurs with both signs."""
+    n = draw(st.integers(0, 4))
+    fields = draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    steps = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return DyadicMatrix(fields, draw(steps), draw(steps))
+
+
 @settings(max_examples=60)
-@given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=4, max_size=4))
-def test_determinant_matches_cofactor_expansion(rows):
-    rows = [[Fraction(v) for v in row] for row in rows]
-    assert determinant(RationalMatrix(rows)) == _cofactor_det(rows)
+@given(dyadic_matrices())
+def test_determinant_matches_cofactor_expansion(m):
+    assert determinant(m) == _cofactor_det(rational_rows(m))
 
 
 @given(rationals, rationals, rationals)
@@ -76,9 +88,3 @@ def test_rational_field_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
-
-
-def test_format_rational():
-    assert format_rational(Fraction(3, 1)) == "3"
-    assert format_rational(Fraction(-7, 2)) == "-7/2"
-    assert format_rational(0) == "0"

@@ -212,6 +212,11 @@ def test_report_line_format():
     assert rep.line() == "RESULT thing[x=1] a=3/2 b=3/2 match=true"
 
 
+def test_report_line_renders_each_value_as_a_reduced_fraction():
+    rep = CountReport("thing[x=1]", {"a": Fraction(3, 1), "b": Fraction(-7, 2), "c": Fraction(0)})
+    assert rep.close().line() == "RESULT thing[x=1] a=3 b=-7/2 c=0 match=false"
+
+
 def instance_children(family: str, l, q, x: int):
     """The smaller instances the applicable recurrence or boundary reduction
     rewrites (family, l, q, x) into; empty exactly at the base case."""
