@@ -29,6 +29,7 @@ from .regions import (
     WindowSpec,
     carved_hexagon,
     check_index_list,
+    check_member,
     hexagon,
     windowed_hexagon,
 )
@@ -135,19 +136,22 @@ def cmd_count(args) -> int:
             value = V.hexagon_formula(*hexagon_from_args(args))
         except DegenerateHexagon as exc:
             raise ValueError(f"{exc}, so the formula method has no labels to read") from exc
+    elif args.method == "formula" and args.family:
+        # the polynomial reads the member's parameters, never its region
+        family, l, q, x = member_from_args(args)
+        check_member(l, q, x, family == "Rbar")
+        value = V.family_poly(family, l, q, x)
     else:
         reg = build_region_from_args(args)
         if args.method == "oracle":
             value = count_oracle(reg)
-        elif args.method == "gv" and (args.infile or args.family == "H"):
-            raise ValueError("the determinant method applies to the R and Rbar families only")
-        elif args.infile:
+        elif args.method == "formula":
             raise ValueError("the formula method needs a constructed family, not a file")
-        elif args.method == "gv":
+        elif args.infile or args.family == "H":
+            raise ValueError("the determinant method applies to the R and Rbar families only")
+        else:
             family, l, q, x = member_from_args(args)
             value = count_gv(reg, l, q, x, family, args.side or SOUTHWEST)
-        else:
-            value = V.family_poly(*member_from_args(args))
     print(value)
     return 0
 

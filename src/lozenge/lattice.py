@@ -20,6 +20,9 @@ about a lattice point acts as ``(row, col) -> (-row-1, -col-1)``.
 A vertical mirror axis is parameterized by an integer ``p`` (the line
 ``x = p/2``); reflection acts as ``(row, col) -> (row, 2p - 2row - 2 - col)``
 and the single cell of row ``r`` crossed by the axis has ``col = p - r - 1``.
+The vertebrae (:func:`vertebra_labels`) follow one rule: a slot, the row
+pair ``(r0, r0 + 1)`` with ``r0 == p (mod 2)`` clipped to the ambient row
+span, is a vertebra when the axis cells of all of its rows survive.
 """
 
 from __future__ import annotations
@@ -288,67 +291,29 @@ def vertebra_labels(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Label axis vertebrae below and above a horizontal reference line.
 
-    Crossed cells pair into lozenge-shaped (rhombic) vertebrae anchored at
-    rows of fixed parity; a crossed cell whose mate row lies outside the
-    ambient row span is a single-triangle vertebra, while one whose mate was
-    merely removed is a dangling leftover and is not a vertebra at all.
-    Vertebrae wholly on one side of the line get labels 1, 2, ... starting
-    nearest the line; a triangular vertebra sitting directly on the line is
-    skipped.  ``row_span`` is the ambient (lowest, highest) row.
+    A slot is a row pair ``(r0, r0 + 1)`` with ``r0 == p (mod 2)``, clipped
+    to ``row_span``, the ambient (lowest, highest) row; a slot clipped to
+    one row is a triangle.  A slot is a vertebra exactly when the axis cell
+    of each of its clipped rows is in ``r``.  Each side lists its slots
+    outward from the line (above: lowest row at or above ``reference_row``;
+    below: highest row under it), drops the first if it is a triangle on
+    the line, numbers the rest from 1 and returns the numbers of the
+    vertebrae.  Every cell of ``r`` lies inside ``row_span``.
     """
     p = mirror_axis(r)
-    present = set(crossed_cells(r, p))
-    if not present:
-        return (), ()
+    present = {row for row, _ in crossed_cells(r, p)}
     row_lo, row_hi = row_span
+    first = row_lo - 1 + (p - row_lo + 1) % 2  # the least r0 >= row_lo - 1 of p's parity
+    slots = [(max(r0, row_lo), min(r0 + 1, row_hi)) for r0 in range(first, row_hi + 1, 2)]
 
-    # classify present crossed cells into vertebrae by pair anchor r0 == p (mod 2)
-    present_anchor: dict[int, tuple[int, int]] = {}  # anchor -> clipped row interval
-    for cell in present:
-        row = cell[0]
-        r0 = row if (row - p) % 2 == 0 else row - 1
-        if r0 in present_anchor:
-            continue
-        lo_in = (r0, p - r0 - 1) in present
-        hi_in = (r0 + 1, p - r0 - 2) in present
-        if lo_in and hi_in:
-            present_anchor[r0] = (r0, r0 + 1)
-        elif lo_in and r0 + 1 > row_hi:
-            present_anchor[r0] = (r0, r0)  # triangular against the top edge
-        elif hi_in and r0 < row_lo:
-            present_anchor[r0] = (r0 + 1, r0 + 1)  # triangular against the base
-        # otherwise: a dangling leftover whose mate was removed, not a vertebra
+    def labels(side: list[tuple[int, int]], edge: int) -> tuple[int, ...]:
+        if side and side[0] == (edge, edge):
+            side = side[1:]
+        return tuple(n for n, (lo, hi) in enumerate(side, 1) if lo in present and hi in present)
 
-    # walk all pair slots of the ambient span outward from the line, label
-    # them consecutively (triangular slot on the line itself is skipped),
-    # and report the labels realized by vertebrae present in r
-    def enumerate_side(above_side: bool) -> tuple[int, ...]:
-        anchors = [r0 for r0 in range(row_lo - 1, row_hi + 1) if (r0 - p) % 2 == 0]
-        slots = []
-        for r0 in anchors:
-            lo, hi = max(r0, row_lo), min(r0 + 1, row_hi)
-            if lo > hi:
-                continue
-            if above_side and lo >= reference_row:
-                slots.append((lo, r0, lo == hi, lo))
-            elif not above_side and hi <= reference_row - 1:
-                slots.append((-hi, r0, lo == hi, hi))
-        slots.sort()
-        out = []
-        label = 0
-        for i, (_, r0, triangular, near) in enumerate(slots):
-            edge = near == (reference_row if above_side else reference_row - 1)
-            if i == 0 and triangular and edge:
-                continue  # skipped: triangular vertebra touching the line
-            label += 1
-            got = present_anchor.get(r0)
-            if got is not None:
-                lo, hi = got
-                if (lo >= reference_row) if above_side else (hi <= reference_row - 1):
-                    out.append(label)
-        return tuple(out)
-
-    return enumerate_side(False), enumerate_side(True)
+    below = [slot for slot in reversed(slots) if slot[1] < reference_row]
+    above = [slot for slot in slots if slot[0] >= reference_row]
+    return labels(below, reference_row - 1), labels(above, reference_row)
 
 
 # ---------------------------------------------------------------------------

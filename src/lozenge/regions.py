@@ -389,16 +389,24 @@ def min_x(l, q, barred: bool = False) -> int:
     return _zigzag_bounds(check_index_list(l, "l"), check_index_list(q, "q"), barred)
 
 
-def zigzag_walk(l, q, x: int, barred: bool) -> Region:
-    """Build a zigzag-anchored region by walking its boundary."""
+def check_member(l, q, x: int, barred: bool) -> tuple[IndexList, IndexList]:
+    """The validated lists of a family member; raises ``ValueError`` when
+    ``x`` is below :func:`min_x`, unless both lists are empty."""
     l = check_index_list(l, "l")
     q = check_index_list(q, "q")
+    if l or q:
+        lo = _zigzag_bounds(l, q, barred)
+        if x < lo:
+            raise ValueError(f"x={x} below the least admissible value {lo}")
+    return l, q
+
+
+def zigzag_walk(l, q, x: int, barred: bool) -> Region:
+    """Build a zigzag-anchored region by walking its boundary."""
+    l, q = check_member(l, q, x, barred)
     m, n = len(l), len(q)
     if m == 0 and n == 0:
         return Region()
-    lo = _zigzag_bounds(l, q, barred)
-    if x < lo:
-        raise ValueError(f"x={x} below the least admissible value {lo}")
     lm = l[-1] if l else 0
     qn = q[-1] if q else 0
     h = -1 if barred else 0  # height of the horizontal connector through the origin

@@ -56,7 +56,7 @@ def render_ascii(r: Region) -> str:
 
 def _vertices(cell: Cell) -> list[tuple[int, int]]:
     row, col = cell
-    va = col // 2 if col % 2 == 0 else (col - 1) // 2
+    va = col // 2
     if is_up(cell):
         return [(va, row), (va + 1, row), (va, row + 1)]
     return [(va + 1, row), (va + 1, row + 1), (va, row + 1)]
@@ -99,7 +99,7 @@ def render_svg(r: Region, tiling: frozenset[Loz] | None = None) -> str:
             pts = " ".join(_svg_point(va, vb, vb_max) for va, vb in quad)
             out.append(f'<polygon points="{pts}" fill="none" stroke="#000000" stroke-width="3"/>')
     for a, b in sorted(r.half):
-        corners = {v for v in _vertices(a)} | {v for v in _vertices(b)}
+        corners = {*_vertices(a), *_vertices(b)}
         cx = sum(2 * va * SCALE + vb * SCALE for va, vb in corners) // len(corners)
         cy = sum((vb_max - vb) * ROWH for va, vb in corners) // len(corners)
         out.append(f'<ellipse cx="{cx}" cy="{cy}" rx="{SCALE // 2}" ry="{SCALE // 2}" '
@@ -110,8 +110,8 @@ def render_svg(r: Region, tiling: frozenset[Loz] | None = None) -> str:
 
 
 def _lozenge_outline(a: Cell, b: Cell) -> list[tuple[int, int]]:
-    va = set(map(tuple, _vertices(a)))
-    vb = set(map(tuple, _vertices(b)))
+    va = set(_vertices(a))
+    vb = set(_vertices(b))
     shared = sorted(va & vb)
     outer = sorted((va | vb) - set(shared))
     # the shared edge is a diagonal; alternating corners walks the boundary

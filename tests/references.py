@@ -13,14 +13,41 @@ from hypothesis import strategies as st
 from lozenge.lattice import Region, balance, is_up, lozenge, partners, symmetry_axis_cut
 from lozenge.regions import (
     HexParams,
+    WindowSpec,
     check_index_list,
     hexagon,
     min_x,
-    r_bar_region,
-    r_region,
     windowed_hexagon,
+    zigzag_walk,
 )
 from lozenge.verify import hexagon_placements, nonempty_pairs
+
+FIGURE_HEXAGONS = [
+    # labeled hexagons with holes, one per construction family
+    (HexParams(5, 6, 6), [WindowSpec("DELTA", 4, 5), WindowSpec("DELTA", 2, 11)]),
+    (HexParams(7, 8, 3),
+     [WindowSpec("DELTA", 3, 9), WindowSpec("DELTA", 2, 12), WindowSpec("DELTA", 2, 16),
+      WindowSpec("NABLA", 2, 8), WindowSpec("NABLA", 2, 4)]),
+    (HexParams(8, 8, 1),
+     [WindowSpec("NABLA", 1, 8), WindowSpec("NABLA", 2, 5),
+      WindowSpec("DELTA", 2, 11), WindowSpec("DELTA", 2, 13)]),
+    # reduction illustrations
+    (HexParams(6, 5, 4), [WindowSpec("DELTA", 2, 0), WindowSpec("DELTA", 2, 8)]),
+    (HexParams(6, 8, 1),
+     [WindowSpec("DELTA", 1, 8), WindowSpec("DELTA", 4, 9),
+      WindowSpec("NABLA", 2, 7), WindowSpec("NABLA", 2, 3)]),
+]
+
+
+def members(max_entry: int, max_len: int, offsets):
+    """``(family, l, q, x)`` for each pair of ``nonempty_pairs(max_entry,
+    max_len)``, each family R then Rbar, and ``x = min_x + offset`` for
+    each of ``offsets`` in turn."""
+    for l, q in nonempty_pairs(max_entry, max_len):
+        for family in ("R", "Rbar"):
+            lo = min_x(l, q, family == "Rbar")
+            for offset in offsets:
+                yield family, l, q, lo + offset
 
 
 def sweep_regions():
@@ -31,11 +58,8 @@ def sweep_regions():
         whole, _, _, _ = windowed_hexagon(p, ws)
         cut = symmetry_axis_cut(whole)
         yield from (whole, cut.plus, cut.minus)
-    for l, q in nonempty_pairs(3, 2):
-        for barred in (False, True):
-            lo = min_x(l, q, barred)
-            for x in range(lo, lo + 3):
-                yield (r_bar_region if barred else r_region)(l, q, x)
+    for family, l, q, x in members(3, 2, range(3)):
+        yield zigzag_walk(l, q, x, family == "Rbar")
 
 
 @st.composite

@@ -36,25 +36,15 @@ from lozenge.verify import (
     verify_hexagon,
     verify_poly_recurrences,
 )
-from references import coeff_C_product, rational_rows, shifted_factorial as sf
+from references import (
+    FIGURE_HEXAGONS,
+    coeff_C_product,
+    members,
+    rational_rows,
+    shifted_factorial as sf,
+)
 
 HALF = Fraction(1, 2)
-
-FIGURE_HEXAGONS = [
-    # labeled hexagons with holes, one per construction family
-    (HexParams(5, 6, 6), [WindowSpec("DELTA", 4, 5), WindowSpec("DELTA", 2, 11)]),
-    (HexParams(7, 8, 3),
-     [WindowSpec("DELTA", 3, 9), WindowSpec("DELTA", 2, 12), WindowSpec("DELTA", 2, 16),
-      WindowSpec("NABLA", 2, 8), WindowSpec("NABLA", 2, 4)]),
-    (HexParams(8, 8, 1),
-     [WindowSpec("NABLA", 1, 8), WindowSpec("NABLA", 2, 5),
-      WindowSpec("DELTA", 2, 11), WindowSpec("DELTA", 2, 13)]),
-    # reduction illustrations
-    (HexParams(6, 5, 4), [WindowSpec("DELTA", 2, 0), WindowSpec("DELTA", 2, 8)]),
-    (HexParams(6, 8, 1),
-     [WindowSpec("DELTA", 1, 8), WindowSpec("DELTA", 4, 9),
-      WindowSpec("NABLA", 2, 7), WindowSpec("NABLA", 2, 3)]),
-]
 
 CAPTION_REDUCTIONS = [
     (HexParams(6, 5, 4), [WindowSpec("DELTA", 2, 0), WindowSpec("DELTA", 2, 8)]),
@@ -85,20 +75,17 @@ def zigzag_sweep():
     families: region, oracle count, both determinant encodings, polynomial."""
     started = time.perf_counter()
     rows = []
-    for l, q in nonempty_pairs(4, 2):
-        for family, barred in (("R", False), ("Rbar", True)):
-            lo = min_x(l, q, barred)
-            for x in range(lo, lo + 4):
-                region = build_region(family, l, q, x)
-                rows.append(
-                    dict(
-                        family=family, l=l, q=q, x=x, region=region,
-                        oracle=count_oracle(region),
-                        gv_sw=count_gv(region, l, q, x, family, SOUTHWEST),
-                        gv_nw=count_gv(region, l, q, x, family, NORTHWEST),
-                        poly=family_poly(family, l, q, x),
-                    )
-                )
+    for family, l, q, x in members(4, 2, range(4)):
+        region = build_region(family, l, q, x)
+        rows.append(
+            dict(
+                family=family, l=l, q=q, x=x, region=region,
+                oracle=count_oracle(region),
+                gv_sw=count_gv(region, l, q, x, family, SOUTHWEST),
+                gv_nw=count_gv(region, l, q, x, family, NORTHWEST),
+                poly=family_poly(family, l, q, x),
+            )
+        )
     assert len(rows) == 960
     return rows, time.perf_counter() - started
 

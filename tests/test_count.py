@@ -30,14 +30,13 @@ from lozenge.regions import (
     HexParams,
     WindowSpec,
     hexagon,
-    min_x,
     r_bar_region,
     r_region,
     windowed_hexagon,
     zigzag_walk,
 )
-from lozenge.verify import hexagon_placements, nonempty_pairs
-from references import holey_subregions, rational_rows, sweep_regions
+from lozenge.verify import hexagon_placements
+from references import holey_subregions, members, rational_rows, sweep_regions
 
 
 def enumerated_count(r: Region) -> Fraction:
@@ -250,13 +249,10 @@ def test_oracle_equals_per_cell_reference_on_hexagon_sweep():
 
 def test_oracle_equals_per_cell_reference_on_zigzag_members():
     checked = 0
-    for l, q in nonempty_pairs(3, 2):
-        for barred in (False, True):
-            lo = min_x(l, q, barred)
-            for x in range(lo, lo + 3):
-                r = (r_bar_region if barred else r_region)(l, q, x)
-                assert count_oracle(r) == reference_oracle(r), (barred, l, q, x)
-                checked += 1
+    for family, l, q, x in members(3, 2, range(3)):
+        r = zigzag_walk(l, q, x, family == "Rbar")
+        assert count_oracle(r) == reference_oracle(r), (family, l, q, x)
+        checked += 1
     assert checked == 2 * 3 * (7 * 7 - 1)
 
 
@@ -369,14 +365,11 @@ def test_tilings_partition_the_region():
 
 
 def test_gv_equals_oracle_across_small_sweep():
-    for l, q in nonempty_pairs(3, 2):
-        for family, barred in (("R", False), ("Rbar", True)):
-            lo = min_x(l, q, barred)
-            for x in (lo, lo + 1, lo + 2):
-                reg = (r_bar_region if barred else r_region)(l, q, x)
-                want = count_oracle(reg)
-                for side in (SOUTHWEST, NORTHWEST):
-                    assert count_gv(reg, l, q, x, family, side) == want
+    for family, l, q, x in members(3, 2, range(3)):
+        reg = zigzag_walk(l, q, x, family == "Rbar")
+        want = count_oracle(reg)
+        for side in (SOUTHWEST, NORTHWEST):
+            assert count_gv(reg, l, q, x, family, side) == want
 
 
 def test_gv_empty_region_determinant_is_one():
@@ -458,15 +451,12 @@ def reference_path_matrix(region: Region, ep: PathEndpoints) -> list[list[Fracti
 def test_gv_matrix_equals_per_start_reference_sweep():
     # Rbar members carry the half-weighted steps
     checked = 0
-    for l, q in nonempty_pairs(3, 2):
-        for family, barred in (("R", False), ("Rbar", True)):
-            lo = min_x(l, q, barred)
-            for x in (lo, lo + 1):
-                for side in (SOUTHWEST, NORTHWEST):
-                    ep, matrix = gv_matrix(l, q, x, family, side)
-                    want = reference_path_matrix(zigzag_walk(l, q, x, barred), ep)
-                    assert rational_rows(matrix) == want, (family, l, q, x, side)
-                    checked += 1
+    for family, l, q, x in members(3, 2, range(2)):
+        for side in (SOUTHWEST, NORTHWEST):
+            ep, matrix = gv_matrix(l, q, x, family, side)
+            want = reference_path_matrix(zigzag_walk(l, q, x, family == "Rbar"), ep)
+            assert rational_rows(matrix) == want, (family, l, q, x, side)
+            checked += 1
     assert checked == 4 * 2 * (7 * 7 - 1)
 
 

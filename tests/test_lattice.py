@@ -10,6 +10,7 @@ from lozenge.lattice import (
     Region,
     balance,
     congruent,
+    crossed_cells,
     eliminate_forced,
     lozenge,
     mirror_axis,
@@ -20,8 +21,18 @@ from lozenge.lattice import (
     symmetry_axis_cut,
     vertebra_labels,
 )
-from lozenge.regions import HexParams, WindowSpec, hexagon, r_region, windowed_hexagon
-from references import holey_subregions, sweep_regions
+from lozenge.regions import (
+    DegenerateHexagon,
+    HexParams,
+    WindowSpec,
+    canonical_hexagon,
+    carved_hexagon,
+    hexagon,
+    r_region,
+    windowed_hexagon,
+)
+from lozenge.verify import hexagon_placements
+from references import FIGURE_HEXAGONS, holey_subregions, sweep_regions
 
 
 def test_partner_geometry_is_symmetric():
@@ -267,6 +278,97 @@ def test_vertebra_labels_after_windows():
 def test_vertebra_labels_empty_axis():
     below, above = vertebra_labels(Region(), 0, (0, 0))
     assert below == () and above == ()
+
+
+def reference_vertebra_labels(
+    r: Region, reference_row: int, row_span: tuple[int, int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:func:`lozenge.lattice.vertebra_labels` sorting the crossed cells into
+    full pairs, triangles against the top or the base and dangling leftovers,
+    then testing which side of the line each pair's interval lies on."""
+    p = mirror_axis(r)
+    present = set(crossed_cells(r, p))
+    if not present:
+        return (), ()
+    row_lo, row_hi = row_span
+
+    # classify present crossed cells into vertebrae by pair anchor r0 == p (mod 2)
+    present_anchor: dict[int, tuple[int, int]] = {}  # anchor -> clipped row interval
+    for cell in present:
+        row = cell[0]
+        r0 = row if (row - p) % 2 == 0 else row - 1
+        if r0 in present_anchor:
+            continue
+        lo_in = (r0, p - r0 - 1) in present
+        hi_in = (r0 + 1, p - r0 - 2) in present
+        if lo_in and hi_in:
+            present_anchor[r0] = (r0, r0 + 1)
+        elif lo_in and r0 + 1 > row_hi:
+            present_anchor[r0] = (r0, r0)  # triangular against the top edge
+        elif hi_in and r0 < row_lo:
+            present_anchor[r0] = (r0 + 1, r0 + 1)  # triangular against the base
+        # otherwise: a dangling leftover whose mate was removed, not a vertebra
+
+    def enumerate_side(above_side: bool) -> tuple[int, ...]:
+        anchors = [r0 for r0 in range(row_lo - 1, row_hi + 1) if (r0 - p) % 2 == 0]
+        slots = []
+        for r0 in anchors:
+            lo, hi = max(r0, row_lo), min(r0 + 1, row_hi)
+            if lo > hi:
+                continue
+            if above_side and lo >= reference_row:
+                slots.append((lo, r0, lo == hi, lo))
+            elif not above_side and hi <= reference_row - 1:
+                slots.append((-hi, r0, lo == hi, hi))
+        slots.sort()
+        out = []
+        label = 0
+        for i, (_, r0, triangular, near) in enumerate(slots):
+            edge = near == (reference_row if above_side else reference_row - 1)
+            if i == 0 and triangular and edge:
+                continue  # skipped: triangular vertebra touching the line
+            label += 1
+            got = present_anchor.get(r0)
+            if got is not None:
+                lo, hi = got
+                if (lo >= reference_row) if above_side else (hi <= reference_row - 1):
+                    out.append(label)
+        return tuple(out)
+
+    return enumerate_side(False), enumerate_side(True)
+
+
+def test_vertebra_labels_equal_their_reference_on_the_hexagon_sweep():
+    checked = 0
+    for p, ws in [*hexagon_placements(6, 6, 3), *FIGURE_HEXAGONS]:
+        try:
+            cp, cws = canonical_hexagon(p, ws)
+        except DegenerateHexagon:
+            continue
+        holey = carved_hexagon(cp, cws)
+        reference_row = next((w.base_row for w in cws if not w.even), 0)
+        args = (holey, reference_row, (0, cp.nrows - 1))
+        assert vertebra_labels(*args) == reference_vertebra_labels(*args), (p, ws)
+        checked += 1
+    assert checked == 1725 + len(FIGURE_HEXAGONS)
+
+
+@st.composite
+def hexagons_with_axis_gaps(draw) -> tuple[Region, int, tuple[int, int]]:
+    """A hexagon with a, b <= 6 and k <= 5, a random subset of its axis
+    cells removed, a reference row in -1..nrows+1 and its row span."""
+    b = draw(st.integers(0, 6))
+    p = HexParams(draw(st.integers(1, 6)), b, draw(st.integers(0 if b else 1, 5)))
+    rows = draw(st.sets(st.integers(0, p.nrows - 1)))
+    gone = {(row, p.axis - row - 1) for row in rows}
+    holey = Region(hexagon(p).cells - gone)
+    return holey, draw(st.integers(-1, p.nrows + 1)), (0, p.nrows - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hexagons_with_axis_gaps())
+def test_vertebra_labels_equal_their_reference_on_random_axis_gaps(case):
+    assert vertebra_labels(*case) == reference_vertebra_labels(*case)
 
 
 def test_triregion_round_trip():

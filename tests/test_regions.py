@@ -15,14 +15,14 @@ from lozenge.regions import (
     decrement,
     hexagon,
     increment,
-    min_x,
     omit,
     r_bar_region,
     r_region,
     windowed_hexagon,
     zigzag_walk,
 )
-from lozenge.verify import hexagon_placements, hexagon_sides, nonempty_pairs, verify_hexagon
+from lozenge.verify import hexagon_placements, hexagon_sides, verify_hexagon
+from references import members
 
 
 def test_index_list_helpers():
@@ -97,10 +97,8 @@ def test_regions_rasterize_as_their_reference_does(monkeypatch):
         for p, ws in hexagon_placements(6, 6, 3):
             out.append(hexagon(p))
             out += [w.cells(p.axis) for w in ws]
-        for l, q in nonempty_pairs(4, 2):
-            for barred in (False, True):
-                lo = min_x(l, q, barred)
-                out += [zigzag_walk(l, q, x, barred) for x in range(lo, lo + 3)]
+        out += [zigzag_walk(l, q, x, family == "Rbar")
+                for family, l, q, x in members(4, 2, range(3))]
         return out
 
     got = built()
@@ -184,25 +182,24 @@ def test_zigzag_rejects_x_below_bound():
 
 @pytest.mark.parametrize("barred", [False, True])
 def test_zigzag_regions_balance_and_side_lengths(barred):
-    family = "Rbar" if barred else "R"
-    for l, q in nonempty_pairs(4, 2):
+    for family, l, q, x in members(4, 2, (0, 2)):
+        if (family == "Rbar") != barred:
+            continue
         m, n = len(l), len(q)
         lm = l[-1] if l else 0
-        lo = min_x(l, q, barred)
-        for x in (lo, lo + 2):
-            region = zigzag_walk(l, q, x, barred)
-            assert balance(region) == 0
-            assert len(region.half) == n
-            sw, _ = gv_matrix(l, q, x, family, SOUTHWEST)
-            nw, _ = gv_matrix(l, q, x, family, NORTHWEST)
-            assert len(sw.starts) == len(sw.ends) == 2 * lm - m + n + (1 if (l and not barred) else 0)
-            assert len(nw.starts) == len(nw.ends)
-            # at most one start and one end per row, bottom to top southwest
-            # and top to bottom northwest
-            for segs in (sw.starts, sw.ends):
-                assert all(u[1] < v[1] for u, v in zip(segs, segs[1:]))
-            for segs in (nw.starts, nw.ends):
-                assert all(u[1] > v[1] for u, v in zip(segs, segs[1:]))
+        region = zigzag_walk(l, q, x, barred)
+        assert balance(region) == 0
+        assert len(region.half) == n
+        sw, _ = gv_matrix(l, q, x, family, SOUTHWEST)
+        nw, _ = gv_matrix(l, q, x, family, NORTHWEST)
+        assert len(sw.starts) == len(sw.ends) == 2 * lm - m + n + (1 if (l and not barred) else 0)
+        assert len(nw.starts) == len(nw.ends)
+        # at most one start and one end per row, bottom to top southwest
+        # and top to bottom northwest
+        for segs in (sw.starts, sw.ends):
+            assert all(u[1] < v[1] for u, v in zip(segs, segs[1:]))
+        for segs in (nw.starts, nw.ends):
+            assert all(u[1] > v[1] for u, v in zip(segs, segs[1:]))
 
 
 def test_half_positions_sit_at_upper_bumps():

@@ -109,6 +109,27 @@ def test_cli_count_hexagon_formula_never_runs_the_oracle(capsys, monkeypatch, sh
     assert capsys.readouterr().out.strip() == oracle
 
 
+@pytest.mark.parametrize("family,which", [("R", "P"), ("Rbar", "Pbar")])
+def test_cli_count_member_formula_builds_no_region(capsys, monkeypatch, family, which):
+    member = ["--l", "2,4", "--q", "1,3", "--x", "2"]
+    assert main(["formula", "--which", which, *member]) == 0
+    poly = capsys.readouterr().out
+
+    def refuse(boundary):
+        raise AssertionError("the formula method built a region")
+
+    monkeypatch.setattr("lozenge.regions.rasterize", refuse)
+    assert main(["count", "--family", family, *member, "--method", "formula"]) == 0
+    assert capsys.readouterr().out == poly
+
+
+@pytest.mark.parametrize("method", ["oracle", "gv", "formula"])
+def test_cli_count_member_below_min_x_exits_2(capsys, method):
+    argv = ["count", "--family", "R", "--l", "1", "--q", "4", "--x", "0", "--method", method]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: x=0 below the least admissible value 2\n"
+
+
 def test_cli_usage_errors(capsys):
     assert main(["count", "--family", "R", "--l", "3,2", "--x", "1"]) == 2
     assert "strictly increasing" in capsys.readouterr().err

@@ -26,6 +26,7 @@ from lozenge.verify import (
     verify_region_formula,
     window_placements,
 )
+from references import members
 
 
 def test_region_formula_examples():
@@ -290,11 +291,8 @@ def test_broken_recurrence_coefficients_are_reported(monkeypatch):
 
 
 def test_reachability_full_small_sweep():
-    for l, q in nonempty_pairs(4, 2):
-        for fam in ("R", "Rbar"):
-            lo = min_x(l, q, fam == "Rbar")
-            for x in (lo, lo + 3):
-                assert check_reachability(fam, l, q, x) >= 1
+    for family, l, q, x in members(4, 2, (0, 3)):
+        assert check_reachability(family, l, q, x) >= 1
 
 
 def test_window_placements_respect_bookkeeping():
