@@ -131,27 +131,26 @@ def add_region_flags(sub: argparse.ArgumentParser):
 
 
 def cmd_count(args) -> int:
-    if args.method == "formula" and args.family == "H":
+    # each method refuses a source it does not read before the region is read
+    if args.method == "formula" and args.infile is not None:
+        raise ValueError("the formula method needs a constructed family, not a file")
+    if args.method == "gv" and args.family not in ("R", "Rbar"):
+        raise ValueError("the determinant method applies to the R and Rbar families only")
+    if args.method == "oracle":
+        value = count_oracle(build_region_from_args(args))
+    elif args.family == "H":
         try:
             value = V.hexagon_formula(*hexagon_from_args(args))
         except DegenerateHexagon as exc:
             raise ValueError(f"{exc}, so the formula method has no labels to read") from exc
-    elif args.method == "formula" and args.family:
-        # the polynomial reads the member's parameters, never its region
-        family, l, q, x = member_from_args(args)
-        check_member(l, q, x, family == "Rbar")
-        value = V.family_poly(family, l, q, x)
     else:
-        reg = build_region_from_args(args)
-        if args.method == "oracle":
-            value = count_oracle(reg)
-        elif args.method == "formula":
-            raise ValueError("the formula method needs a constructed family, not a file")
-        elif args.infile or args.family == "H":
-            raise ValueError("the determinant method applies to the R and Rbar families only")
+        family, l, q, x = member_from_args(args)
+        if args.method == "formula":
+            # the polynomial reads the member's parameters, never its region
+            check_member(l, q, x, family == "Rbar")
+            value = V.family_poly(family, l, q, x)
         else:
-            family, l, q, x = member_from_args(args)
-            value = count_gv(reg, l, q, x, family, args.side or SOUTHWEST)
+            value = count_gv(V.build_region(family, l, q, x), l, q, x, family, args.side or SOUTHWEST)
     print(value)
     return 0
 

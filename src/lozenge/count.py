@@ -11,7 +11,11 @@ orientations by a bound on their frontier states and scans the cheapest.
 The orientations are ranked on their sorted cell lists, and the half
 positions are turned only for the scan that runs.  Only half-weighted
 positions carry a weight in the DP, so a region without them is counted
-in plain integer counts.  It works on any region.
+in plain integer counts.  On a wide frontier the DP applies several scan
+steps per rebuild of its state dict: the moves of a group of steps depend
+only on the few state bits the group reads, so they are listed once per
+distinct value of those bits and each state is looked up once.  It works
+on any region.
 
 ``count_gv`` applies the nonintersecting-path determinant method to the
 two zigzag-anchored families: tilings biject onto tuples of paths of
@@ -27,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .exact import DyadicMatrix, determinant
@@ -38,6 +43,16 @@ NORTHWEST = "northwest"
 
 # (pair, weight of the move that reads no slot, [(bit, weight)] slots)
 Step = tuple[bool, int, list[tuple[int, int]]]
+
+# From a frontier of WIDE states on, the oracle applies GROUP steps per
+# transfer.  The seven count_ladder oracle scans take 156 ms step by step
+# and 102-105 ms with GROUP 4 at WIDE 64 to 512 (116 ms at 1024); at WIDE
+# 256, GROUP 2, 3, 5 and 6 take 122, 105, 120 and 141 ms.  The 1416
+# hexagon_sweep scans take 254 ms step by step, 254-255 ms at WIDE 128 to
+# 512 and 297 ms at WIDE 64, where tables are filled for too few states.
+# (Fastest of 21 and of 11 in-process rounds, 2-core Xeon, Python 3.11.)
+WIDE = 256
+GROUP = 4
 
 
 def count_oracle(r: Region) -> Fraction:
@@ -66,6 +81,19 @@ def count_oracle(r: Region) -> Fraction:
     weighted count over Python integers, and the total is divided by
     2**len(half) at the end; a region without half weights is counted in
     plain tiling counts.
+
+    While the frontier holds at least ``WIDE`` states, the next ``GROUP``
+    steps run as one transfer (:func:`_frontier_sum`).  ``read`` is the OR
+    of the bits that each step of the group reads, bit 0 and its slot
+    bits, each shifted by the shifts of the steps before it, and ``shift``
+    is the group's total shift.  For each distinct ``mask & read``,
+    :func:`_moves` lists the bits added and the weight of every way
+    through the group, and each state is inserted once per way, at
+    ``(mask | add) >> shift``, computed as ``(mask >> shift) | (add >>
+    shift)`` from the table's pre-shifted adds.  Filling an entry walks up
+    to 2**GROUP ways, so the table pays for itself only when many states
+    share their read bits, on a wide frontier; a narrow frontier and a
+    last lone step keep the per-step loop.
     """
     ncells = len(r.cells)
     if ncells == 0:
@@ -96,36 +124,51 @@ def _turned_half(half, k: int) -> list[Loz]:
 def _scan_plan(r: Region) -> tuple[int, list[Step]]:
     """How many turns the oracle scans r after, and the steps of that scan.
 
-    The orientations are ranked on their sorted cell lists alone; the half
-    positions are turned only for the orientation that is scanned.
+    The orientations are ranked on their sorted cell lists alone; the steps
+    are built, and the half positions turned, only for the orientation that
+    is scanned.
     """
     cells = sorted(r.cells)
-    steps, row_bound = _scan_steps(cells, r.half)
-    if row_bound <= 16 * len(cells):
-        return 0, steps
-    orientations = [cells]
-    for _ in range(2):
-        orientations.append(sorted(map(_turn, orientations[-1])))
-    costs = [_position_bound(c) + (len(c) if k else 0) for k, c in enumerate(orientations)]
-    k = costs.index(min(costs))
-    if k:
-        steps, _ = _scan_steps(orientations[k], _turned_half(r.half, k))
-    return k, steps
+    k = 0
+    if _row_bound(cells) > 16 * len(cells):
+        orientations = [cells]
+        for _ in range(2):
+            orientations.append(sorted(map(_turn, orientations[-1])))
+        costs = [_position_bound(c) + (len(c) if t else 0) for t, c in enumerate(orientations)]
+        k = costs.index(min(costs))
+        cells = orientations[k]
+    return k, _scan_steps(cells, _turned_half(r.half, k))
 
 
-def _scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
-    """The oracle's steps over the sorted cells, and a row bound on the
-    number of frontier states the per-cell scan visits.
+def _row_bound(cells: list[Cell]) -> int:
+    """A cheap bound on the number of frontier states the per-cell scan of
+    the sorted cells visits: the sum of C(ups_r, carry_r) * len_r over rows,
+    where carry_r, the downs minus the ups of the rows below, is the number
+    of up cells of row r covered when its scan starts.
+    """
+    bound = carry = length = ups = 0
+    last = cells[0][0] if cells else None
+    for row, col in cells:
+        if row != last:
+            if carry >= 0:
+                bound += comb(ups, carry) * length
+            carry += length - 2 * ups
+            last, length, ups = row, 0, 0
+        length += 1
+        ups += not col & 1
+    if carry >= 0:
+        bound += comb(ups, carry) * length
+    return bound
+
+
+def _scan_steps(cells: list[Cell], half) -> list[Step]:
+    """The oracle's steps over the sorted cells.
 
     A half position is decided at its first scanned cell: if that cell is
     already covered, or takes a slot that is another position, the position
     stays unused and the step multiplies by 2.  A pair step's slot-free move
     is the horizontal lozenge, which covers the down cell; a single step's
     is the shift past a covered cell.
-
-    The row bound sums C(ups_r, carry_r) * len_r over rows, where carry_r,
-    the downs minus the ups of the rows below, is the number of up cells of
-    row r covered when its scan starts.
 
     A down cell's east partner is the next cell of its row, and the up
     cell above it is found by a pointer that moves forward through the
@@ -141,7 +184,6 @@ def _scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
     # region; such a pair step pads its slots to two with bit 0, which is
     # set in every state that reads them.
     steps: list[Step] = []
-    row_bound = carry = 0  # carry: downs minus ups of the rows below
     start = 0
     while start < ncells:
         row = cells[start][0]
@@ -149,11 +191,9 @@ def _scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
         # cells[end:top] is row + 1, empty when that row has no cells
         top = bisect_left(cells, (row + 2,), end)
         above = end
-        ups = 0
         for i in range(start, end):
             col = cells[i][1]
             if not col & 1:
-                ups += 1
                 # without its east neighbour it has no forward partner
                 if i + 1 == end or cells[i + 1][1] != col + 1:
                     steps.append((False, 1, []))
@@ -173,11 +213,8 @@ def _scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
             if pair:
                 slots += [(1, 0)] * (2 - len(slots))
             steps.append((pair, 1 << len(own), slots))
-        if carry >= 0:
-            row_bound += comb(ups, carry) * (end - start)
-        carry += end - start - 2 * ups
         start = end
-    return steps, row_bound
+    return steps
 
 
 def _position_bound(cells: list[Cell]) -> int:
@@ -218,13 +255,43 @@ def _position_bound(cells: list[Cell]) -> int:
 
 
 def _frontier_sum(steps: list[Step]) -> int:
-    """The DP's weighted sum over tilings of the scanned cells."""
+    """The DP's weighted sum over tilings of the scanned cells.
+
+    While the frontier holds at least WIDE states, the next GROUP steps
+    are applied as one transfer: each state looks up the ways through the
+    group (:func:`_moves`) by its bits that the group reads, and is
+    inserted once per way.  Otherwise, and on a last lone step, one step
+    is applied at a time.
+    """
     states: dict[int, int] = {0: 1}
-    for pair, w0, slots in steps:
+    wide, size = WIDE, GROUP
+    rest = iter(steps)
+    for step in rest:
         nxt: dict[int, int] = {}
         get = nxt.get
-        if pair:
-            (b1, w1), (b2, w2) = slots
+        if len(states) >= wide and (more := list(islice(rest, size - 1))):
+            group = [step, *more]
+            # read: the bits each step reads (bit 0 and its slots), each
+            # shifted by the steps before it; shift: the group's total shift
+            read = shift = 0
+            for pair, _, slots in group:
+                for bit, _ in slots:
+                    read |= bit << shift
+                read |= 1 << shift
+                shift += 1 + pair
+            table: dict[int, list[tuple[int, int]]] = {}
+            for mask, val in states.items():
+                k = mask & read
+                try:
+                    moves = table[k]
+                except KeyError:
+                    moves = table[k] = _moves(group, k)
+                high = mask >> shift
+                for add, w in moves:
+                    key = high | add
+                    nxt[key] = get(key, 0) + val * w
+        elif step[0]:  # a pair step
+            _, w0, ((b1, w1), (b2, w2)) = step
             for mask, val in states.items():
                 if mask & 1:
                     if not mask & b1:
@@ -237,6 +304,7 @@ def _frontier_sum(steps: list[Step]) -> int:
                     key = mask >> 2
                     nxt[key] = get(key, 0) + val * w0
         else:
+            _, w0, slots = step
             for mask, val in states.items():
                 if mask & 1:
                     key = mask >> 1
@@ -250,6 +318,33 @@ def _frontier_sum(steps: list[Step]) -> int:
             return 0
         states = nxt
     return states.get(0, 0)
+
+
+def _moves(group: list[Step], k: int) -> list[tuple[int, int]]:
+    """Each way through the group's steps from a state whose bits that the
+    group reads are k: the bits it adds, shifted by the group's total
+    shift, and its weight.  Ways are merged while they add the same bits.
+
+    Each step follows the per-step rules of :func:`_frontier_sum`: a pair
+    step takes its slots when bit 0 is set, a single step when it is
+    clear, and each step otherwise takes its slot-free move.
+    """
+    ways = {0: 1}
+    offset = 0
+    for pair, w0, slots in group:
+        nxt: dict[int, int] = {}
+        for add, w in ways.items():
+            cur = (k | add) >> offset
+            if cur & 1 != pair:
+                nxt[add] = nxt.get(add, 0) + w * w0
+                continue
+            for bit, ws in slots:
+                if not cur & bit:
+                    key = add | bit << offset
+                    nxt[key] = nxt.get(key, 0) + w * ws
+        ways = nxt
+        offset += 1 + pair
+    return [(add >> offset, w) for add, w in ways.items()]
 
 
 def _walk_tilings(r: Region):

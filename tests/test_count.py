@@ -12,8 +12,10 @@ from lozenge.count import (
     PathEndpoints,
     Step,
     _frontier_sum,
+    _moves,
     _path_matrix,
     _position_bound,
+    _row_bound,
     _scan_plan,
     _scan_steps,
     _turn,
@@ -25,6 +27,7 @@ from lozenge.count import (
     gv_matrix,
 )
 from lozenge.exact import determinant
+from lozenge.formulas import macmahon
 from lozenge.lattice import Cell, Loz, Region, balance, is_up, lozenge, partners, region, symmetry_axis_cut
 from lozenge.regions import (
     HexParams,
@@ -35,7 +38,7 @@ from lozenge.regions import (
     windowed_hexagon,
     zigzag_walk,
 )
-from lozenge.verify import hexagon_placements
+from lozenge.verify import family_poly, hexagon_formula, hexagon_placements
 from references import holey_subregions, members, rational_rows, sweep_regions
 
 
@@ -94,7 +97,7 @@ def reference_turned(r: Region, k: int) -> tuple[list[Cell], frozenset[Loz]]:
     return sorted(r.cells), r.half
 
 
-def reference_scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
+def reference_scan_steps(cells: list[Cell], half) -> list[Step]:
     """:func:`lozenge.count._scan_steps` finding each forward partner by
     its key in a dict from cell to scan index."""
     ncells = len(cells)
@@ -103,15 +106,12 @@ def reference_scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
     for a, b in half:
         marked.setdefault(a, []).append(b)
     steps: list[Step] = []
-    row_bound = carry = 0
     start = 0
     while start < ncells:
         end = bisect_left(cells, (cells[start][0] + 1,), start)
-        ups = 0
         for i in range(start, end):
             row, col = cell = cells[i]
             if not col & 1:
-                ups += 1
                 if i + 1 == end or cells[i + 1][1] != col + 1:
                     steps.append((False, 1, []))
                 continue
@@ -126,11 +126,24 @@ def reference_scan_steps(cells: list[Cell], half) -> tuple[list[Step], int]:
             if pair:
                 slots += [(1, 0)] * (2 - len(slots))
             steps.append((pair, 1 << len(own), slots))
-        if carry >= 0:
-            row_bound += comb(ups, carry) * (end - start)
-        carry += end - start - 2 * ups
         start = end
-    return steps, row_bound
+    return steps
+
+
+def reference_row_bound(cells: list[Cell]) -> int:
+    """:func:`lozenge.count._row_bound` from per-row counts of cells and of
+    up cells kept in dicts."""
+    lengths: dict[int, int] = {}
+    ups: dict[int, int] = {}
+    for row, col in cells:
+        lengths[row] = lengths.get(row, 0) + 1
+        ups[row] = ups.get(row, 0) + (col % 2 == 0)
+    bound = carry = 0
+    for row in sorted(lengths):
+        if carry >= 0:
+            bound += comb(ups[row], carry) * lengths[row]
+        carry += lengths[row] - 2 * ups[row]
+    return bound
 
 
 def reference_position_bound(cells: list[Cell]) -> int:
@@ -153,16 +166,13 @@ def reference_position_bound(cells: list[Cell]) -> int:
 def reference_scan_plan(r: Region) -> tuple[int, list[Step]]:
     """:func:`lozenge.count._scan_plan` on the three references above."""
     cells = sorted(r.cells)
-    steps, row_bound = reference_scan_steps(cells, r.half)
-    if row_bound <= 16 * len(cells):
-        return 0, steps
+    if reference_row_bound(cells) <= 16 * len(cells):
+        return 0, reference_scan_steps(cells, r.half)
     orientations = [(cells, r.half), reference_turned(r, 1), reference_turned(r, 2)]
     costs = [reference_position_bound(c) + (len(c) if k else 0)
              for k, (c, _) in enumerate(orientations)]
     k = costs.index(min(costs))
-    if k:
-        steps, _ = reference_scan_steps(*orientations[k])
-    return k, steps
+    return k, reference_scan_steps(*orientations[k])
 
 
 def turned_cells(r: Region, turns: int) -> list[Cell]:
@@ -176,8 +186,8 @@ def turned_cells(r: Region, turns: int) -> list[Cell]:
 
 def assert_scan_equals_references(r: Region) -> None:
     """The plan, and in each orientation the turned cells and half
-    positions, the steps with the row bound and the position bound, equal
-    the references'."""
+    positions, the steps, the row bound and the position bound, equal the
+    references'."""
     assert _scan_plan(r) == reference_scan_plan(r)
     for k in range(3):
         cells, half = turned_cells(r, k), _turned_half(r.half, k)
@@ -185,12 +195,13 @@ def assert_scan_equals_references(r: Region) -> None:
         assert cells == want_cells
         assert len(half) == len(want_half) and set(half) == want_half
         assert _scan_steps(cells, half) == reference_scan_steps(cells, want_half)
+        assert _row_bound(cells) == reference_row_bound(cells)
         assert _position_bound(cells) == reference_position_bound(cells)
 
 
 def scanned_count(r: Region, turns: int) -> Fraction:
     """The oracle's DP on r scanned after the given number of turns."""
-    steps, _ = _scan_steps(turned_cells(r, turns), _turned_half(r.half, turns))
+    steps = _scan_steps(turned_cells(r, turns), _turned_half(r.half, turns))
     return Fraction(_frontier_sum(steps), 1 << len(r.half))
 
 
@@ -353,6 +364,89 @@ def test_scan_orientation_on_the_ladder_rungs():
     for s in range(4, 8):
         assert _scan_plan(hexagon(HexParams(s, s, 0)))[0] == 0
     assert per_cell_states(hexagon(HexParams(7, 7, 0)).cells) == 317_972
+
+
+# no frontier is this wide, so every step runs on its own
+PER_STEP = float("inf")
+
+
+def grouped_sum(steps: list[Step], wide: float, group: int) -> int:
+    """:func:`lozenge.count._frontier_sum` with WIDE and GROUP set for one call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lozenge.count.WIDE", wide)
+        mp.setattr("lozenge.count.GROUP", group)
+        return _frontier_sum(steps)
+
+
+def test_grouped_transfer_equals_the_per_step_loop_on_the_sweeps():
+    # with WIDE at 0 every transfer of two or more steps is grouped; the
+    # cut pieces and the Rbar members carry half weights
+    for r in sweep_regions():
+        _, steps = _scan_plan(r)
+        want = grouped_sum(steps, PER_STEP, 4)
+        for group in range(2, 6):
+            assert grouped_sum(steps, 0, group) == want, group
+
+
+@settings(max_examples=150, deadline=None)
+@given(holey_subregions(), st.integers(2, 5))
+@example(HOLED, 5)
+@example(TWO_PIECES, 2)
+def test_grouped_transfer_equals_the_per_step_loop_on_random_subregions(r, group):
+    # each turn moves half weights onto other lozenge orientations
+    for turns in range(3):
+        steps = _scan_steps(turned_cells(r, turns), _turned_half(r.half, turns))
+        assert grouped_sum(steps, 0, group) == grouped_sum(steps, PER_STEP, group), turns
+
+
+def wide_windowed_hexagon():
+    p, ws = HexParams(7, 6, 3), [WindowSpec("DELTA", 3, 3)]
+    return windowed_hexagon(p, ws)[0], hexagon_formula(p, ws)
+
+
+def wide_member(family, l, q, x):
+    r = zigzag_walk(l, q, x, family == "Rbar")
+    assert r.half
+    return r, family_poly(family, l, q, x)
+
+
+def middle_half_hexagon():
+    # H 6,6,0 with the lozenges of every third cell of a middle row
+    # half-weighted, against the per-cell reference DP
+    cells = hexagon(HexParams(6, 6, 0)).cells
+    row = (min(cells)[0] + max(cells)[0]) // 2
+    half = {lozenge(c, m) for c in cells if c[0] == row and c[1] % 3 == 0
+            for m in partners(c) if m in cells and c < m}
+    r = Region(cells, frozenset(half))
+    return r, reference_oracle(r)
+
+
+@pytest.mark.parametrize(
+    "build,weighted",
+    [
+        (lambda: (hexagon(HexParams(7, 7, 0)), macmahon(7, 7, 7)), False),
+        (wide_windowed_hexagon, False),
+        # these members meet their half positions while the frontier is narrow
+        (lambda: wide_member("R", (1, 3, 5), (2, 4), 8), False),
+        (lambda: wide_member("Rbar", (2, 4, 6), (1, 3, 5), 6), False),
+        # this region takes half-weighted steps inside grouped transfers
+        (middle_half_hexagon, True),
+    ],
+    ids=["H-7-7-0", "H-7-6-3-D3@3", "R-135-24-8", "Rbar-246-135-6", "H-6-6-0-half"],
+)
+def test_grouped_transfer_runs_on_wide_frontiers(monkeypatch, build, weighted):
+    # at the default WIDE and GROUP the oracle takes the grouped path and
+    # still equals an independent engine
+    tables = []  # per table entry filled: whether its group carries a weight
+
+    def spy(group, k):
+        tables.append(any(w0 > 1 or any(w > 1 for _, w in slots) for _, w0, slots in group))
+        return _moves(group, k)
+
+    monkeypatch.setattr("lozenge.count._moves", spy)
+    r, want = build()
+    assert count_oracle(r) == want
+    assert tables and any(tables) == weighted
 
 
 def test_tilings_partition_the_region():

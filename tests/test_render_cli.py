@@ -189,6 +189,15 @@ def test_cli_counts_hexagons_their_windows_absorb(capsys):
          "argument --method: invalid choice: 'nope'"),
         (["count", "--bogus"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: command"),
+        # a method refuses a source it does not read before reading the region:
+        # the file is missing, and this window is not symmetric about the axis
+        (["count", "--in", "{missing}", "--method", "formula"],
+         "the formula method needs a constructed family, not a file"),
+        (["count", "--in", "{missing}", "--method", "gv"],
+         "the determinant method applies to the R and Rbar families only"),
+        (["count", "--family", "H", "--a", "3", "--b", "3", "--k", "2", "--window", "D:2@2",
+          "--method", "gv"],
+         "the determinant method applies to the R and Rbar families only"),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, argv, needle):
