@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from . import verify as V
-from .count import NORTHWEST, SOUTHWEST, count_gv, count_oracle
+from .count import NORTHWEST, SOUTHWEST, count_oracle, gv_matrix
+from .exact import determinant
 from .formulas import b_poly, bar_b_poly, bar_c_const, bar_p_poly, c_const, macmahon, p_poly
 from .lattice import Region, region_from_text, region_to_text, symmetry_axis_cut
 from .regions import (
@@ -150,7 +152,8 @@ def cmd_count(args) -> int:
             check_member(l, q, x, family == "Rbar")
             value = V.family_poly(family, l, q, x)
         else:
-            value = count_gv(V.build_region(family, l, q, x), l, q, x, family, args.side or SOUTHWEST)
+            # gv_matrix builds the member from its parameters, once
+            value = determinant(gv_matrix(l, q, x, family, args.side or SOUTHWEST)[1])
     print(value)
     return 0
 
@@ -255,7 +258,9 @@ class Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def main(argv=None) -> int:
+@cache
+def build_parser() -> Parser:
+    """The command line parser, built on first use and kept for the process."""
     parser = Parser(
         prog="lozenge",
         description="Exact weighted lozenge-tiling counts for hexagons with "
@@ -315,9 +320,12 @@ def main(argv=None) -> int:
     p_cut.add_argument("--out-plus")
     p_cut.add_argument("--out-minus")
     p_cut.set_defaults(func=cmd_cut)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if "infile" in vars(args):
             if (args.family is None) == (args.infile is None):
                 raise ValueError("a region needs exactly one of --family and --in")

@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import comb
 
@@ -82,18 +83,7 @@ def count_oracle(r: Region) -> Fraction:
     2**len(half) at the end; a region without half weights is counted in
     plain tiling counts.
 
-    While the frontier holds at least ``WIDE`` states, the next ``GROUP``
-    steps run as one transfer (:func:`_frontier_sum`).  ``read`` is the OR
-    of the bits that each step of the group reads, bit 0 and its slot
-    bits, each shifted by the shifts of the steps before it, and ``shift``
-    is the group's total shift.  For each distinct ``mask & read``,
-    :func:`_moves` lists the bits added and the weight of every way
-    through the group, and each state is inserted once per way, at
-    ``(mask | add) >> shift``, computed as ``(mask >> shift) | (add >>
-    shift)`` from the table's pre-shifted adds.  Filling an entry walks up
-    to 2**GROUP ways, so the table pays for itself only when many states
-    share their read bits, on a wide frontier; a narrow frontier and a
-    last lone step keep the per-step loop.
+    On a wide frontier several steps run as one transfer (:func:`_frontier_sum`).
     """
     ncells = len(r.cells)
     if ncells == 0:
@@ -258,93 +248,90 @@ def _frontier_sum(steps: list[Step]) -> int:
     """The DP's weighted sum over tilings of the scanned cells.
 
     While the frontier holds at least WIDE states, the next GROUP steps
-    are applied as one transfer: each state looks up the ways through the
-    group (:func:`_moves`) by its bits that the group reads, and is
-    inserted once per way.  Otherwise, and on a last lone step, one step
-    is applied at a time.
+    are applied as one transfer.  ``read`` is the OR of the bits that each
+    step of the group reads, bit 0 and its slot bits, each shifted by the
+    shifts of the steps before it, and ``shift`` is the group's total
+    shift.  For each distinct ``mask & read`` a table lists the states
+    that :func:`_step`, folded over the group (:func:`_fold`), reaches from
+    that value alone, with their weights; a state ``mask`` then goes to
+    each of them ORed with ``mask >> shift``.  Filling an entry walks up to
+    2**GROUP ways, so the table pays for itself only when many states share
+    their read bits, on a wide frontier; a narrow frontier and a last lone
+    step take one step at a time.
     """
     states: dict[int, int] = {0: 1}
     wide, size = WIDE, GROUP
     rest = iter(steps)
     for step in rest:
-        nxt: dict[int, int] = {}
-        get = nxt.get
         if len(states) >= wide and (more := list(islice(rest, size - 1))):
             group = [step, *more]
-            # read: the bits each step reads (bit 0 and its slots), each
-            # shifted by the steps before it; shift: the group's total shift
             read = shift = 0
             for pair, _, slots in group:
                 for bit, _ in slots:
                     read |= bit << shift
                 read |= 1 << shift
                 shift += 1 + pair
+            nxt: dict[int, int] = {}
+            get = nxt.get
             table: dict[int, list[tuple[int, int]]] = {}
             for mask, val in states.items():
                 k = mask & read
                 try:
                     moves = table[k]
                 except KeyError:
-                    moves = table[k] = _moves(group, k)
+                    moves = table[k] = _fold(group, k)
                 high = mask >> shift
-                for add, w in moves:
-                    key = high | add
+                for key, w in moves:
+                    key |= high
                     nxt[key] = get(key, 0) + val * w
-        elif step[0]:  # a pair step
-            _, w0, ((b1, w1), (b2, w2)) = step
-            for mask, val in states.items():
-                if mask & 1:
-                    if not mask & b1:
-                        key = (mask | b1) >> 2
-                        nxt[key] = get(key, 0) + val * w1
-                    if not mask & b2:
-                        key = (mask | b2) >> 2
-                        nxt[key] = get(key, 0) + val * w2
-                else:
-                    key = mask >> 2
-                    nxt[key] = get(key, 0) + val * w0
         else:
-            _, w0, slots = step
-            for mask, val in states.items():
-                if mask & 1:
-                    key = mask >> 1
-                    nxt[key] = get(key, 0) + val * w0
-                    continue
-                for bit, w in slots:
-                    if not mask & bit:
-                        key = (mask | bit) >> 1
-                        nxt[key] = get(key, 0) + val * w
+            nxt = _step(states, step)
         if not nxt:
             return 0
         states = nxt
     return states.get(0, 0)
 
 
-def _moves(group: list[Step], k: int) -> list[tuple[int, int]]:
-    """Each way through the group's steps from a state whose bits that the
-    group reads are k: the bits it adds, shifted by the group's total
-    shift, and its weight.  Ways are merged while they add the same bits.
+def _step(states: dict[int, int], step: Step) -> dict[int, int]:
+    """The states after one scan step, each with its weighted count.
 
-    Each step follows the per-step rules of :func:`_frontier_sum`: a pair
-    step takes its slots when bit 0 is set, a single step when it is
-    clear, and each step otherwise takes its slot-free move.
+    A pair step takes one of its two slots when bit 0 is set and its
+    slot-free move otherwise, and shifts by 2; a single step takes its
+    slot-free move when bit 0 is set and one of its slots otherwise, and
+    shifts by 1.  A slot is taken only when its bit is clear.
     """
-    ways = {0: 1}
-    offset = 0
-    for pair, w0, slots in group:
-        nxt: dict[int, int] = {}
-        for add, w in ways.items():
-            cur = (k | add) >> offset
-            if cur & 1 != pair:
-                nxt[add] = nxt.get(add, 0) + w * w0
+    nxt: dict[int, int] = {}
+    get = nxt.get
+    if step[0]:
+        _, w0, ((b1, w1), (b2, w2)) = step
+        for mask, val in states.items():
+            if mask & 1:
+                if not mask & b1:
+                    key = (mask | b1) >> 2
+                    nxt[key] = get(key, 0) + val * w1
+                if not mask & b2:
+                    key = (mask | b2) >> 2
+                    nxt[key] = get(key, 0) + val * w2
+            else:
+                key = mask >> 2
+                nxt[key] = get(key, 0) + val * w0
+    else:
+        _, w0, slots = step
+        for mask, val in states.items():
+            if mask & 1:
+                key = mask >> 1
+                nxt[key] = get(key, 0) + val * w0
                 continue
-            for bit, ws in slots:
-                if not cur & bit:
-                    key = add | bit << offset
-                    nxt[key] = nxt.get(key, 0) + w * ws
-        ways = nxt
-        offset += 1 + pair
-    return [(add >> offset, w) for add, w in ways.items()]
+            for bit, w in slots:
+                if not mask & bit:
+                    key = (mask | bit) >> 1
+                    nxt[key] = get(key, 0) + val * w
+    return nxt
+
+
+def _fold(group: list[Step], k: int) -> list[tuple[int, int]]:
+    """The states the group's steps reach from the single state k, with weights."""
+    return list(reduce(_step, group, {k: 1}).items())
 
 
 def _walk_tilings(r: Region):
@@ -430,24 +417,21 @@ def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, DyadicMatrix
     """Single-path generating functions between boundary segments, as
     integer fields and the step count of each start and each end.
 
-    Southwestern encoding: segment (va, vb) is the edge between the up cell
-    (vb, 2va) and the down cell (vb, 2va+1); a path steps east to
-    (va+1, vb) across the flat lozenge on cells ((vb, 2va+1), (vb, 2va+2))
-    or northeast to (va, vb+1) across the standing lozenge on cells
-    ((vb, 2va+1), (vb+1, 2va)).  Northwestern encoding: segment (va, vb) is
-    the edge between the down cell (vb, 2va-1) and the up cell (vb, 2va); a
-    path steps east to (va+1, vb) across cells ((vb, 2va), (vb, 2va+1)) or
-    southeast to (va+1, vb-1) across ((vb, 2va), (vb-1, 2va+1)).  Either
-    way the segment coordinates only grow in a fixed lexicographic order,
-    so one sorted sweep of the segments is a topological order for every
-    start.
+    Segment (va, vb) is the edge west of its pivot cell (vb, col), with
+    col = 2va + parity: a down cell (parity 1) on the southwestern side, an
+    up cell (parity 0) on the northwestern.  A path leaves it east to
+    (va+1, vb) across the flat lozenge on the pivot and (vb, col+1), or
+    turns to (va + (d < 0), vb + d) across the lozenge on the pivot and
+    (vb+d, col-d): d = 1 southwest, a standing lozenge and a step
+    northeast, and d = -1 northwest, a sloping lozenge and a step
+    southeast.  Either way the segment coordinates only grow in the order
+    of (va, d*vb), so one sorted sweep of the segments is a topological
+    order for every start.
 
-    The endpoints are read off the cells.  Call the cell a path leaves a
-    segment through (the down cell southwest, the up cell northwest) its
-    pivot.  A path starts at a segment whose pivot is the only one of its
-    two cells in the region, and ends at one whose other cell is.  Starts
-    and ends run bottom to top on the southwestern side and top to bottom
-    on the northwestern.
+    A path starts at a segment whose pivot is the only one of its two
+    cells in the region, and ends at one whose other cell is.  Starts and
+    ends run in the order of d*vb: bottom to top on the southwestern side
+    and top to bottom on the northwestern.
 
     The sweep runs once for all start segments and carries one Python int
     per segment, packing a field per start: field i, at bit ``width * i``,
@@ -456,10 +440,10 @@ def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, DyadicMatrix
     int shifted left by one, or the int itself for a half-weighted lozenge.
     Every step adds 1 to va+vb on the southwestern side and to va on the
     northwestern side, so all paths from u to v have the same number of
-    steps, d = steps(v) - steps(u).  The fields are returned as they are,
+    steps, n = steps(v) - steps(u).  The fields are returned as they are,
     with steps(u) for each start and steps(v) for each end, as a
-    :class:`DyadicMatrix`.  There are at most 2**d paths from u to v, each
-    weighing at most 2**d doubled, so the field is at most 4**d.  Let span
+    :class:`DyadicMatrix`.  There are at most 2**n paths from u to v, each
+    weighing at most 2**n doubled, so the field is at most 4**n.  Let span
     be the largest ``steps`` of an end minus the smallest of a start: a
     field at a segment from which an end is reached is at most 4**span, so
     ``width = 2 * span + 1`` bits keep those fields from carrying into each
@@ -468,33 +452,30 @@ def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, DyadicMatrix
     cells = region.cells
     # each half-weighted position in either order, so (pivot, mate) looks it up
     half = {pos for a, b in region.half for pos in ((a, b), (b, a))}
-    southwest = side == SOUTHWEST
-    if southwest:
-        order_key = None
+    if side == SOUTHWEST:
+        parity, d = 1, 1
+        order_key = None  # (va, vb)
         steps = sum  # va + vb
-        row_order = lambda seg: seg[1]
     else:
+        parity, d = 0, -1
         order_key = lambda seg: (seg[0], -seg[1])
         steps = lambda seg: seg[0]
-        row_order = lambda seg: -seg[1]
 
-    # the segment west of each pivot cell, from which paths move on; both
-    # moves strictly increase the order key, so one sorted sweep of these
-    # is a valid topological order.  A move reaches the segment east of its
-    # mate cell, which is swept if the next cell is in the region and an
-    # end if not, so no end is swept.
-    pivot_parity = 1 if southwest else 0
+    # the segment west of each pivot cell, from which paths move on; a move
+    # reaches the segment east of its mate cell, which is swept if the next
+    # cell is in the region and an end if not, so no end is swept
     swept: list[Vertex] = []
     starts: list[Vertex] = []
     ends: list[Vertex] = []
     for row, col in cells:
-        if col & 1 == pivot_parity:
+        if col & 1 == parity:
             seg = (col // 2, row)
             swept.append(seg)
             if (row, col - 1) not in cells:
                 starts.append(seg)
         elif (row, col + 1) not in cells:
             ends.append(((col + 1) // 2, row))
+    row_order = lambda seg: d * seg[1]
     starts.sort(key=row_order)
     ends.sort(key=row_order)
     swept.sort(key=order_key)
@@ -511,20 +492,16 @@ def _path_matrix(region: Region, side: str) -> tuple[PathEndpoints, DyadicMatrix
         if vec is None:
             continue
         va, vb = seg
-        # the flat move east, then the standing (southwest) or the
-        # sloping (northwest) one
-        if southwest:
-            pivot = (vb, 2 * va + 1)
-            east, east_next = (vb, 2 * va + 2), (va + 1, vb)
-            turn, turn_next = (vb + 1, 2 * va), (va, vb + 1)
-        else:
-            pivot = (vb, 2 * va)
-            east, east_next = (vb, 2 * va + 1), (va + 1, vb)
-            turn, turn_next = (vb - 1, 2 * va + 1), (va + 1, vb - 1)
+        col = 2 * va + parity
+        pivot = (vb, col)
+        east = (vb, col + 1)
         if east in cells:
-            sums[east_next] = get(east_next, 0) + (vec if (pivot, east) in half else vec << 1)
+            nxt = (va + 1, vb)
+            sums[nxt] = get(nxt, 0) + (vec if (pivot, east) in half else vec << 1)
+        turn = (vb + d, col - d)
         if turn in cells:
-            sums[turn_next] = get(turn_next, 0) + (vec if (pivot, turn) in half else vec << 1)
+            nxt = (va + (d < 0), vb + d)
+            sums[nxt] = get(nxt, 0) + (vec if (pivot, turn) in half else vec << 1)
 
     mask = (1 << width) - 1
     columns = [get(v, 0) for v in ends]

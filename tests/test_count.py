@@ -11,8 +11,8 @@ from lozenge.count import (
     SOUTHWEST,
     PathEndpoints,
     Step,
+    _fold,
     _frontier_sum,
-    _moves,
     _path_matrix,
     _position_bound,
     _row_bound,
@@ -441,9 +441,9 @@ def test_grouped_transfer_runs_on_wide_frontiers(monkeypatch, build, weighted):
 
     def spy(group, k):
         tables.append(any(w0 > 1 or any(w > 1 for _, w in slots) for _, w0, slots in group))
-        return _moves(group, k)
+        return _fold(group, k)
 
-    monkeypatch.setattr("lozenge.count._moves", spy)
+    monkeypatch.setattr("lozenge.count._fold", spy)
     r, want = build()
     assert count_oracle(r) == want
     assert tables and any(tables) == weighted

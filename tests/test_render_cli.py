@@ -5,7 +5,7 @@ import pytest
 from lozenge.cli import main
 from lozenge.count import enumerate_tilings
 from lozenge.lattice import lozenge, region_from_text, region_to_text
-from lozenge.regions import HexParams, hexagon, r_region
+from lozenge.regions import HexParams, hexagon, r_region, zigzag_walk
 from lozenge.render import first_tiling, render_ascii, render_svg, validate_tiling
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -128,6 +128,33 @@ def test_cli_count_member_below_min_x_exits_2(capsys, method):
     argv = ["count", "--family", "R", "--l", "1", "--q", "4", "--x", "0", "--method", method]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: x=0 below the least admissible value 2\n"
+
+
+def test_cli_count_gv_builds_the_member_once(capsys, monkeypatch):
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return zigzag_walk(*args, **kwargs)
+
+    for module in ("regions", "count"):
+        monkeypatch.setattr(f"lozenge.{module}.zigzag_walk", counted)
+    argv = ["count", "--family", "Rbar", "--l", "2,4", "--q", "1,3", "--x", "2", "--method", "gv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "338688\n"
+    assert len(walks) == 1
+
+
+def test_cli_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; an appended --window must not
+    # reach the next call
+    args = ["count", "--family", "H", "--a", "4", "--b", "3", "--k", "2"]
+    assert main(args) == 0
+    alone = capsys.readouterr().out
+    assert main([*args, "--window", "D:2@2"]) == 0
+    assert capsys.readouterr().out != alone
+    assert main(args) == 0
+    assert capsys.readouterr().out == alone
 
 
 def test_cli_usage_errors(capsys):
