@@ -10,12 +10,11 @@ oracle on small boxes.
 from lozenge.count import count_oracle
 from lozenge.formulas import macmahon
 from lozenge.lattice import Region
-from lozenge.regions import E, NE, NW, SE, SW, W, rasterize, walk
+from lozenge.regions import E, NE, NW, SE, SW, W, rasterize
 
 
 def hexagon_abc(a: int, b: int, c: int) -> Region:
-    boundary = walk((0, 0), (E, a), (NE, b), (NW, c), (W, a), (SW, b), (SE, c))
-    return Region(rasterize(boundary))
+    return Region(rasterize((0, 0), (E, a), (NE, b), (NW, c), (W, a), (SW, b), (SE, c)))
 
 
 print(f"{'box':>10} {'product':>12} {'oracle':>12}")

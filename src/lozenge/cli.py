@@ -324,6 +324,11 @@ def build_parser() -> Parser:
 
 
 def main(argv=None) -> int:
+    # exact counts can pass the 4300-digit limit that Python 3.10.7+ puts on
+    # int/str conversion; lift it for this call and restore it on return
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         if "infile" in vars(args):
@@ -339,6 +344,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Constructors for the hexagon families and the zigzag-anchored families.
 
-All regions are produced by walking an explicit closed boundary on the
-triangular lattice (steps E, W, NE, NW, SE, SW between integer vertices
-``(va, vb)``) and rasterizing it by horizontal scanline parity.
+Every region is one closed boundary on the triangular lattice: runs of
+(direction, count) from a start vertex ``(va, vb)``, directions E, W, NE,
+NW, SE, SW, rasterized by horizontal scanline parity (``rasterize``).
 
 Two groups of families live here:
 
@@ -75,47 +75,44 @@ def increment(lst: IndexList, k: int) -> IndexList:
     return check_index_list(out, "incremented list")
 
 
-def walk(start: Vertex, *runs: tuple[tuple[int, int], int]) -> list[Vertex]:
-    """Vertices visited from ``start`` along runs of (direction, count)."""
-    out = [start]
-    va, vb = start
-    for (da, db), count in runs:
-        if count < 0:
-            raise ValueError("negative run length in boundary walk")
-        for _ in range(count):
-            va, vb = va + da, vb + db
-            out.append((va, vb))
-    return out
+def rasterize(start: Vertex, *runs: tuple[tuple[int, int], int]) -> frozenset[Cell]:
+    """Cells enclosed by the closed lattice boundary that walks from ``start``
+    along runs of (direction, count), by scanline parity.
 
-
-def rasterize(boundary: list[Vertex]) -> frozenset[Cell]:
-    """Cells enclosed by a closed lattice boundary, by scanline parity.
-
-    Every non-horizontal boundary edge crosses exactly one row strip; its
+    Every non-horizontal unit step crosses exactly one row strip; its
     quarter-unit x position at mid-strip is ``2*(va1+va2) + (vb1+vb2)``,
     always odd, while cell centers sit at even quarter positions, so
-    crossings and centers never collide.  The crossings are sorted once as
-    ``(strip, x)`` pairs, so consecutive pairs are the spans of one row.
-    Cell (r, c) is centered at 2c + 2r + 2, so the span from crossing left
-    to crossing right holds columns (left - 2r - 1) / 2 up to, not
-    including, (right - 2r - 1) / 2.  An odd number of crossings on any
-    strip shows up as an odd total or as a pair that spans two strips.
+    crossings and centers never collide.  Along a run both the strip and
+    that x move by a fixed step, so each run adds two zipped ranges.  The
+    crossings are sorted once as ``(strip, x)`` pairs; a closed walk of unit
+    steps crosses each strip as often upward as downward, so consecutive
+    pairs are the spans of one row.  Cell (r, c) is centered at 2c + 2r + 2,
+    so the span from crossing left to crossing right holds columns
+    (left - 2r - 1) / 2 up to, not including, (right - 2r - 1) / 2.
+    Raises ``ValueError`` for a negative count, a direction that is not a
+    lattice step, and a walk that does not end at ``start``.
     """
-    if boundary[0] != boundary[-1]:
+    va, vb = start
+    crossings = []
+    steps = (E, W, NE, NW, SE, SW)
+    for direction, count in runs:
+        if count < 0:
+            raise ValueError("negative run length in boundary walk")
+        if direction not in steps:
+            raise ValueError(f"{direction} is not a lattice step direction")
+        da, db = direction
+        if db:
+            row = vb if db > 0 else vb - 1
+            x, dx = 4 * va + 2 * da + 2 * vb + db, 4 * da + 2 * db
+            crossings += zip(range(row, row + count * db, db), range(x, x + count * dx, dx))
+        va, vb = va + count * da, vb + count * db
+    if (va, vb) != start:
         raise ValueError("boundary walk does not close")
-    crossings = sorted([
-        (vb1 if vb1 < vb2 else vb2, 2 * (va1 + va2) + vb1 + vb2)
-        for (va1, vb1), (va2, vb2) in zip(boundary, boundary[1:])
-        if vb1 != vb2
-    ])
-    unclosed = "boundary is not a closed curve (odd crossing count)"
-    if len(crossings) % 2:
-        raise ValueError(unclosed)
-    spans = []
-    for (row, left), (other, right) in zip(crossings[::2], crossings[1::2]):
-        if row != other:  # a strip with an odd count of crossings
-            raise ValueError(unclosed)
-        spans.append(zip(repeat(row), range((left - 2 * row - 1) // 2, (right - 2 * row - 1) // 2)))
+    crossings.sort()
+    spans = [
+        zip(repeat(row), range((left - 2 * row - 1) // 2, (right - 2 * row - 1) // 2))
+        for (row, left), (_, right) in zip(crossings[::2], crossings[1::2])
+    ]
     return frozenset(chain.from_iterable(spans))
 
 
@@ -149,16 +146,7 @@ class HexParams:
 def hexagon(p: HexParams) -> Region:
     """The hexagon with sides a, b+k, b, a+k, b, b+k and base a+k at row 0."""
     a, b, k = p.a, p.b, p.k
-    boundary = walk(
-        (0, 0),
-        (E, a + k),
-        (NE, b),
-        (NW, b + k),
-        (W, a),
-        (SW, b + k),
-        (SE, b),
-    )
-    return Region(rasterize(boundary))
+    return Region(rasterize((0, 0), (E, a + k), (NE, b), (NW, b + k), (W, a), (SW, b + k), (SE, b)))
 
 
 @dataclass(frozen=True)
@@ -210,10 +198,8 @@ class WindowSpec:
         s, t = self.size, self.base_row
         va_left = (axis - s - t) // 2
         if self.kind == "DELTA":
-            boundary = walk((va_left, t), (E, s), (NW, s), (SW, s))
-        else:
-            boundary = walk((va_left, t), (E, s), (SW, s), (NW, s))
-        return rasterize(boundary)
+            return rasterize((va_left, t), (E, s), (NW, s), (SW, s))
+        return rasterize((va_left, t), (E, s), (SW, s), (NW, s))
 
 
 class DegenerateHexagon(ValueError):
@@ -435,7 +421,7 @@ def zigzag_walk(l, q, x: int, barred: bool) -> Region:
             right.append((SE, 1))
             right.append((SW, 1))
             if i < m:
-                right.append((W, l[i - 1] - (2 * l[i - 1] - l[i] + 1)))
+                right.append((W, l[i] - l[i - 1] - 1))
                 right.append((SE, 2 * (l[i] - l[i - 1]) - 2))
 
     if l:
@@ -445,22 +431,14 @@ def zigzag_walk(l, q, x: int, barred: bool) -> Region:
         base_len = (x - q[0] + 1) if barred else (x - q[0] + 2)
         n_sw = n
 
-    right_part = walk(start, *right)
-    b_vertex = right_part[-1]
-    after_base = walk(b_vertex, (W, base_len))
-    c1 = after_base[-1]
-    sw_part = walk(c1, (NW, n_sw))
-    c2 = sw_part[-1]
-    n_ne = (2 * qn if q else h) - c2[1]
-    nw_part = walk(c2, (NE, n_ne))
-    c3 = nw_part[-1]
-    n_top = start[0] - c3[0]
-    top_part = walk(c3, (E, n_top))
-    if top_part[-1] != start:
-        raise AssertionError("boundary walk failed to close")
-
-    boundary = right_part + after_base[1:] + sw_part[1:] + nw_part[1:] + top_part[1:]
-    cells = rasterize(boundary)
+    # the northeast and top sides run from where the base and the southwest
+    # side end back to start
+    lower = [*right, (W, base_len), (NW, n_sw)]
+    va, vb = start
+    for (da, db), count in lower:
+        va, vb = va + count * da, vb + count * db
+    n_ne, n_top = (2 * qn if q else h) - vb, start[0] - va
+    cells = rasterize(start, *lower, (NE, n_ne), (E, n_top))
 
     half: set[Loz] = set()
     for qi in q:

@@ -29,7 +29,8 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as cartesian
 
-from .count import NORTHWEST, SOUTHWEST, count_gv, count_oracle
+from .count import NORTHWEST, SOUTHWEST, count_oracle, gv_matrix
+from .exact import determinant
 from .formulas import (
     bar_c_const,
     bar_p_poly,
@@ -179,7 +180,8 @@ def verify_region_formula(l, q, x: int, *, values: MemberValues | None = None) -
         region = build_region(family, l, q, x)
         rep.values[f"{family}.oracle"] = values.count(family, l, q, x, region)
         for side in (SOUTHWEST, NORTHWEST):
-            rep.values[f"{family}.gv.{side[:2]}"] = count_gv(region, l, q, x, family, side)
+            # gv_matrix builds the member from its parameters, once per side
+            rep.values[f"{family}.gv.{side[:2]}"] = determinant(gv_matrix(l, q, x, family, side)[1])
         rep.values[f"{family}.poly"] = values.poly(family, l, q, x)
         vals = [v for key, v in rep.values.items() if key.startswith(family)]
         ok = ok and all(v == vals[0] for v in vals)

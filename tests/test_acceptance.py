@@ -23,7 +23,7 @@ from lozenge.formulas import (
     coeff_D,
     macmahon,
 )
-from lozenge.regions import HexParams, WindowSpec, min_x, r_bar_region, r_region, rasterize, walk
+from lozenge.regions import HexParams, WindowSpec, min_x, r_bar_region, r_region, rasterize
 from lozenge.verify import (
     build_region,
     family_poly,
@@ -105,8 +105,7 @@ def general_hexagon(a: int, b: int, c: int):
     from lozenge.lattice import Region
     from lozenge.regions import E, NE, NW, SE, SW, W
 
-    boundary = walk((0, 0), (E, a), (NE, b), (NW, c), (W, a), (SW, b), (SE, c))
-    return Region(rasterize(boundary))
+    return Region(rasterize((0, 0), (E, a), (NE, b), (NW, c), (W, a), (SW, b), (SE, c)))
 
 
 def test_acceptance_1_box_product_vs_oracle():

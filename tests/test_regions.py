@@ -3,6 +3,8 @@ from functools import cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lozenge import regions
 from lozenge.count import NORTHWEST, SOUTHWEST, count_oracle, gv_matrix
@@ -91,6 +93,26 @@ def reference_rasterize(boundary):
     return frozenset(cells)
 
 
+STEPS = (regions.E, regions.W, regions.NE, regions.NW, regions.SE, regions.SW)
+
+
+def reference_walk(start, *runs):
+    """Vertices visited from ``start`` along runs of (direction, count)."""
+    out = [start]
+    for (da, db), count in runs:
+        if count < 0:
+            raise ValueError("negative run length in boundary walk")
+        if (da, db) not in STEPS:
+            raise ValueError(f"{(da, db)} is not a lattice step direction")
+        for _ in range(count):
+            out.append((out[-1][0] + da, out[-1][1] + db))
+    return out
+
+
+def reference_rasterize_runs(start, *runs):
+    return reference_rasterize(reference_walk(start, *runs))
+
+
 def test_regions_rasterize_as_their_reference_does(monkeypatch):
     def built():
         out = []
@@ -102,23 +124,44 @@ def test_regions_rasterize_as_their_reference_does(monkeypatch):
         return out
 
     got = built()
-    monkeypatch.setattr(regions, "rasterize", reference_rasterize)
+    monkeypatch.setattr(regions, "rasterize", reference_rasterize_runs)
     assert built() == got
 
 
 @pytest.mark.parametrize(
     "boundary",
     [
-        [(0, 0), (1, 0), (0, 1)],  # does not close
-        [(0, 0), (0, 1), (0, 2), (0, 0)],  # three crossings
-        [(0, 0), (0, 2), (0, 4), (0, 3), (0, 0)],  # one crossing each on strips 2 and 3
+        ((0, 0), (regions.E, 1), (regions.NW, 1)),  # does not close
+        ((0, 0), (regions.E, 2), (regions.NW, -1), (regions.SW, 1)),  # a negative run
+        ((0, 0), (regions.E, 1), ((0, 2), 1), (regions.SW, 2), (regions.W, 1)),  # not a step
         # a U: two spans on row 1
-        regions.walk((0, 0), (regions.E, 5), (regions.NE, 2), (regions.W, 1), (regions.SW, 1),
-                     (regions.W, 2), (regions.NW, 1), (regions.W, 1), (regions.SW, 2)),
+        ((0, 0), (regions.E, 5), (regions.NE, 2), (regions.W, 1), (regions.SW, 1),
+         (regions.W, 2), (regions.NW, 1), (regions.W, 1), (regions.SW, 2)),
     ],
 )
 def test_rasterize_equals_its_reference_on_drawn_boundaries(boundary):
-    assert _value_or_error(regions.rasterize, boundary) == _value_or_error(reference_rasterize, boundary)
+    want = _value_or_error(reference_rasterize_runs, *boundary)
+    assert _value_or_error(regions.rasterize, *boundary) == want
+
+
+@st.composite
+def closed_walks(draw):
+    """A start and random runs of unit steps, closed by a vertical and a
+    horizontal leg; the walk may cross and retrace itself."""
+    start = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    runs = draw(st.lists(st.tuples(st.sampled_from(STEPS), st.integers(0, 4)), max_size=8))
+    va = start[0] + sum(da * count for (da, _), count in runs)
+    vb = start[1] + sum(db * count for (_, db), count in runs)
+    up, right = start[1] - vb, start[0] - va
+    return start, [*runs, (regions.NE if up > 0 else regions.SW, abs(up)),
+                   (regions.E if right > 0 else regions.W, abs(right))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_walks())
+def test_rasterize_equals_its_reference_on_random_closed_walks(walk):
+    start, runs = walk
+    assert regions.rasterize(start, *runs) == reference_rasterize_runs(start, *runs)
 
 
 def test_unit_hexagon():

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,20 @@ def test_cli_macmahon(capsys):
     assert capsys.readouterr().out.strip() == "20"
 
 
+def test_cli_prints_counts_past_the_int_digit_limit(capsys):
+    # Python before 3.10.7 has no limit and no getter
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = digits()
+    outs = []
+    for argv in (["macmahon", "120", "120", "120"],
+                 ["count", "--family", "H", "--a", "120", "--b", "120", "--k", "0",
+                  "--method", "formula"]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out.strip())
+        assert digits() == limit
+    assert outs[0] == outs[1] and len(outs[0]) > 4300
+
+
 def test_cli_count_methods_agree(capsys):
     values = []
     for method in ("oracle", "gv", "formula"):
@@ -115,7 +130,7 @@ def test_cli_count_member_formula_builds_no_region(capsys, monkeypatch, family, 
     assert main(["formula", "--which", which, *member]) == 0
     poly = capsys.readouterr().out
 
-    def refuse(boundary):
+    def refuse(start, *runs):
         raise AssertionError("the formula method built a region")
 
     monkeypatch.setattr("lozenge.regions.rasterize", refuse)

@@ -9,7 +9,15 @@ import lozenge.verify as V
 from lozenge.cli import main
 from lozenge.lattice import Region, symmetry_axis_cut
 from lozenge.count import count_oracle
-from lozenge.regions import HexParams, WindowSpec, _check, hexagon, min_x, windowed_hexagon
+from lozenge.regions import (
+    HexParams,
+    WindowSpec,
+    _check,
+    hexagon,
+    min_x,
+    windowed_hexagon,
+    zigzag_walk,
+)
 from lozenge.verify import (
     CountReport,
     hexagon_formula,
@@ -33,6 +41,20 @@ def test_region_formula_examples():
     assert verify_region_formula((), (), 3).match  # empty region, all methods give 1
     assert verify_region_formula((2, 4, 5), (2, 4), 2).match
     assert verify_region_formula((2, 4, 5), (2, 4), 3).match
+
+
+def test_region_formula_builds_each_member_three_times(monkeypatch):
+    # once for the oracle and once in gv_matrix for each side
+    walks = Counter()
+
+    def counted(l, q, x, barred):
+        walks[barred] += 1
+        return zigzag_walk(l, q, x, barred)
+
+    for module in ("regions", "count"):
+        monkeypatch.setattr(f"lozenge.{module}.zigzag_walk", counted)
+    assert verify_region_formula((2, 4), (1, 3), 2).match
+    assert walks == {False: 3, True: 3}
 
 
 def test_region_formula_rejects_inadmissible_x():
