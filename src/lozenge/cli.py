@@ -236,7 +236,7 @@ def cmd_verify(args) -> int:
     if "poly" in targets:
         run(V.sweep_poly_recurrences(**pair_args))
     if "increments" in targets:
-        run(V.sweep_increment_relations(count=args.random_count, seed=args.seed))
+        run(V.sweep_increment_relations(count=args.random_count, seed=args.seed, values=values))
     if "theorem11" in targets or "factorization" in targets:
         # each placement reports the product formula, then the factorization
         # and the pieces; theorem11 stops before any piece is counted

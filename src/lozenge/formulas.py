@@ -18,12 +18,16 @@ no exponent of ``B`` or ``Bbar`` is negative, so they and ``P``/``Pbar``
 evaluate at every rational ``x``, half-integers included.  At ``y = p/d``
 every factor is the integer ``(2p + h*d) / (2d)``, so one evaluation
 multiplies Python ints and builds exactly one ``Fraction`` at the end.
+A tiling polynomial is prepared once per (l, q) as a :class:`ProductForm`
+(:func:`product_form`) and evaluated at each x by :func:`evaluate`;
+``p_poly`` and ``bar_p_poly`` do both in one call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import binomial
 from .regions import IndexList, check_index_list
@@ -103,8 +107,22 @@ def _p_table(l: IndexList, q: IndexList, barred: bool) -> FactorTable:
     return t
 
 
-def _evaluate(const: tuple[int, int], table: FactorTable, x: Fraction | int, shift: int = 0) -> Fraction:
-    """``num/den * prod (y + h/2) ** e`` at ``y = x + shift``.
+class ProductForm(NamedTuple):
+    """A product formula prepared for evaluation: ``num/den * prod (y + h/2)
+    ** e`` over the table, at ``y = x + shift``."""
+
+    const: tuple[int, int]
+    table: FactorTable
+    shift: int = 0
+
+    @property
+    def degree(self) -> int:
+        """The degree in x: the exponent sum of the netted table."""
+        return sum(self.table.values())
+
+
+def evaluate(form: ProductForm, x: Fraction | int) -> Fraction:
+    """The prepared formula's value at ``x``.
 
     A genuine pole (a negative exponent whose factor vanishes) raises
     ``ZeroDivisionError``; none of the tables here has one.
@@ -112,10 +130,10 @@ def _evaluate(const: tuple[int, int], table: FactorTable, x: Fraction | int, shi
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     d = x.denominator
-    two_p = 2 * (x.numerator + shift * d)
-    num, den = const
+    two_p = 2 * (x.numerator + form.shift * d)
+    num, den = form.const
     degree = 0
-    for h, e in table.items():
+    for h, e in form.table.items():
         if e > 0:
             num *= (two_p + h * d) ** e
         elif e < 0:
@@ -132,14 +150,14 @@ def b_poly(m: int, n: int, x: Fraction | int) -> Fraction:
     """The monic base polynomial attached to staircase labels (plain family)."""
     if m < 0 or n < 0:
         raise ValueError("list lengths must be nonnegative")
-    return _evaluate((1, 1), _b_table(m, n), x)
+    return evaluate(ProductForm((1, 1), _b_table(m, n)), x)
 
 
 def bar_b_poly(m: int, n: int, x: Fraction | int) -> Fraction:
     """The monic base polynomial attached to staircase labels (shifted family)."""
     if m < 0 or n < 0:
         raise ValueError("list lengths must be nonnegative")
-    return _evaluate((1, 1), _bar_b_table(m, n), x)
+    return evaluate(ProductForm((1, 1), _bar_b_table(m, n)), x)
 
 
 def _choose2(z: int) -> int:
@@ -182,27 +200,24 @@ def bar_c_const(l, q) -> Fraction:
     return Fraction(*_const(check_index_list(l, "l"), check_index_list(q, "q"), True))
 
 
-def _p_poly(l, q, x: Fraction | int, barred: bool) -> Fraction:
+def product_form(l, q, barred: bool = False) -> ProductForm:
+    """The tiling polynomial of (l, q), of the shifted family when ``barred``,
+    prepared once for evaluation at any x: its constant, its netted factor
+    table and the shift ``l_m - m`` of y from x."""
     l = check_index_list(l, "l")
     q = check_index_list(q, "q")
     lm = l[-1] if l else 0
-    return _evaluate(_const(l, q, barred), _p_table(l, q, barred), x, lm - len(l))
+    return ProductForm(_const(l, q, barred), _p_table(l, q, barred), lm - len(l))
 
 
 def p_poly(l, q, x: Fraction | int) -> Fraction:
     """Tiling polynomial of the plain zigzag family, in product form."""
-    return _p_poly(l, q, x, False)
+    return evaluate(product_form(l, q), x)
 
 
 def bar_p_poly(l, q, x: Fraction | int) -> Fraction:
     """Tiling polynomial of the shifted zigzag family, in product form."""
-    return _p_poly(l, q, x, True)
-
-
-def p_poly_degree(l, q, barred: bool = False) -> int:
-    """Degree of the tiling polynomial in x: the exponent sum of its netted
-    factor table."""
-    return sum(_p_table(check_index_list(l, "l"), check_index_list(q, "q"), barred).values())
+    return evaluate(product_form(l, q, True), x)
 
 
 def macmahon(a: int, b: int, c: int) -> int:

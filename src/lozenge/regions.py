@@ -387,8 +387,21 @@ def check_member(l, q, x: int, barred: bool) -> tuple[IndexList, IndexList]:
     return l, q
 
 
+def _joined(runs: list[tuple[tuple[int, int], int]]) -> list[tuple[tuple[int, int], int]]:
+    """The runs with each run of the direction before it added to that one,
+    and runs of length 0 left out."""
+    out: list[tuple[tuple[int, int], int]] = []
+    for direction, count in runs:
+        if out and out[-1][0] == direction:
+            out[-1] = (direction, out[-1][1] + count)
+        elif count:
+            out.append((direction, count))
+    return out
+
+
 def zigzag_walk(l, q, x: int, barred: bool) -> Region:
-    """Build a zigzag-anchored region by walking its boundary."""
+    """Build a zigzag-anchored region by walking its boundary; the runs are
+    joined (:func:`_joined`) before they are rasterized."""
     l, q = check_member(l, q, x, barred)
     m, n = len(l), len(q)
     if m == 0 and n == 0:
@@ -438,7 +451,7 @@ def zigzag_walk(l, q, x: int, barred: bool) -> Region:
     for (da, db), count in lower:
         va, vb = va + count * da, vb + count * db
     n_ne, n_top = (2 * qn if q else h) - vb, start[0] - va
-    cells = rasterize(start, *lower, (NE, n_ne), (E, n_top))
+    cells = rasterize(start, *_joined([*lower, (NE, n_ne), (E, n_top)]))
 
     half: set[Loz] = set()
     for qi in q:

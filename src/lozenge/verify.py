@@ -16,8 +16,9 @@ canonicalizes, builds, cuts and predicts the two pieces once, and
 factorization and the pieces reports, counting each region once.
 
 A :class:`MemberValues` table given to the verifiers makes a run compute
-each member's oracle count and polynomial once; hexagons and their cut
-pieces are still counted once per placement.
+each member's oracle count and polynomial value once, and prepare each
+polynomial's product formula once; hexagons and their cut pieces are
+still counted once per placement.
 """
 
 from __future__ import annotations
@@ -29,17 +30,19 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as cartesian
 
-from .count import NORTHWEST, SOUTHWEST, count_oracle, gv_matrix
+from .count import NORTHWEST, SOUTHWEST, _path_matrix, count_oracle
 from .exact import determinant
 from .formulas import (
+    ProductForm,
     bar_c_const,
     bar_p_poly,
     coeff_barC,
     coeff_barD,
     coeff_C,
     coeff_D,
+    evaluate,
     p_poly,
-    p_poly_degree,
+    product_form,
 )
 from .lattice import CutResult, Region, congruent, eliminate_forced, symmetry_axis_cut
 from .regions import (
@@ -137,16 +140,20 @@ def family_poly(family: str, l, q, x) -> Fraction:
 
 class MemberValues:
     """One run's oracle counts and polynomial values of family members, each
-    computed once and keyed by the validated member (family, l, q, x).
+    computed once and keyed by the validated member (family, l, q, x), and
+    the product formula of each (family, l, q), prepared once.
 
     The counts come only from :func:`count_oracle` on the member's region
-    and the values only from :func:`family_poly`, so neither engine ever
-    stands in for the other.  Only scalars are kept, never a region.
+    and the values only from the member's prepared product formula
+    (:func:`lozenge.formulas.product_form`), so neither engine ever stands
+    in for the other.  Scalars and prepared formulas are kept, never a
+    region.
     """
 
     def __init__(self):
         self.counts: dict[tuple, Fraction] = {}
         self.polys: dict[tuple, Fraction] = {}
+        self.forms: dict[tuple, ProductForm] = {}
 
     def count(self, family: str, l: IndexList, q: IndexList, x: int, region=None) -> Fraction:
         """The oracle count; ``region`` is the member's region if the caller
@@ -156,10 +163,17 @@ class MemberValues:
             self.counts[key] = count_oracle(build_region(*key) if region is None else region)
         return self.counts[key]
 
+    def form(self, family: str, l: IndexList, q: IndexList) -> ProductForm:
+        """The member's product formula, prepared once for every x."""
+        key = (family, l, q)
+        if key not in self.forms:
+            self.forms[key] = product_form(l, q, family == "Rbar")
+        return self.forms[key]
+
     def poly(self, family: str, l: IndexList, q: IndexList, x) -> Fraction:
         key = (family, l, q, x)
         if key not in self.polys:
-            self.polys[key] = family_poly(*key)
+            self.polys[key] = evaluate(self.form(family, l, q), x)
         return self.polys[key]
 
 
@@ -169,7 +183,9 @@ class MemberValues:
 
 def verify_region_formula(l, q, x: int, *, values: MemberValues | None = None) -> CountReport:
     """Oracle count, determinant count (both encodings), and polynomial value
-    must agree, for whichever of the two families admit this x."""
+    must agree, for whichever of the two families admit this x.  Each
+    family's member is built once; the oracle and both path determinants
+    read that one region."""
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
     values = MemberValues() if values is None else values
     rep = CountReport(region_instance("RRbar", l, q, x))
@@ -180,8 +196,7 @@ def verify_region_formula(l, q, x: int, *, values: MemberValues | None = None) -
         region = build_region(family, l, q, x)
         rep.values[f"{family}.oracle"] = values.count(family, l, q, x, region)
         for side in (SOUTHWEST, NORTHWEST):
-            # gv_matrix builds the member from its parameters, once per side
-            rep.values[f"{family}.gv.{side[:2]}"] = determinant(gv_matrix(l, q, x, family, side)[1])
+            rep.values[f"{family}.gv.{side[:2]}"] = determinant(_path_matrix(region, side)[1])
         rep.values[f"{family}.poly"] = values.poly(family, l, q, x)
         vals = [v for key, v in rep.values.items() if key.startswith(family)]
         ok = ok and all(v == vals[0] for v in vals)
@@ -407,7 +422,7 @@ def verify_poly_recurrences(l, q, *, values: MemberValues | None = None) -> Coun
     if not (l or q):
         raise ValueError("no polynomial recurrence applies to two empty lists")
 
-    deg = max(p_poly_degree(l, q), p_poly_degree(l, q, barred=True)) + 1
+    deg = max(values.form(family, l, q).degree for family in ("R", "Rbar")) + 1
     x0 = (l[-1] if l else 0) + (q[-1] if q else 0) + len(l) + len(q) + 3
     points = range(x0, x0 + deg + 1)
     ok = True
@@ -422,17 +437,20 @@ def verify_poly_recurrences(l, q, *, values: MemberValues | None = None) -> Coun
     return rep
 
 
-def verify_increment_relations(l, q, k: int, x: int, which: str = "l") -> CountReport:
+def verify_increment_relations(
+    l, q, k: int, x: int, which: str = "l", *, values: MemberValues | None = None
+) -> CountReport:
     """Bumping one selected label up by 1 multiplies the normalized shifted
     polynomial by two explicit linear factors; the normalizing constants obey
     their own one-term recurrences."""
     l, q = check_index_list(l, "l"), check_index_list(q, "q")
+    values = MemberValues() if values is None else values
     m, n = len(l), len(q)
     rep = CountReport(region_instance(f"incr.{which}{k}", l, q, x))
     lm = l[-1] if l else 0
 
     def f_val(ll, qq, xx) -> Fraction:
-        return bar_p_poly(ll, qq, xx) / bar_c_const(ll, qq)
+        return values.poly("Rbar", ll, qq, xx) / bar_c_const(ll, qq)
 
     if which == "l":
         bumped = increment(l, k)
@@ -531,7 +549,7 @@ def sweep_poly_recurrences(max_entry=3, max_len=2, *, values: MemberValues | Non
         yield verify_poly_recurrences(l, q, values=values)
 
 
-def sweep_increment_relations(count=20, seed=0):
+def sweep_increment_relations(count=20, seed=0, *, values: MemberValues | None = None):
     rng = random.Random(seed)
     made = 0
     while made < count:
@@ -547,7 +565,7 @@ def sweep_increment_relations(count=20, seed=0):
         except ValueError:
             continue
         made += 1
-        yield verify_increment_relations(l, q, k, rng.randint(1, 5), which)
+        yield verify_increment_relations(l, q, k, rng.randint(1, 5), which, values=values)
 
 
 def _multisets(parts: list[tuple[int, str]], n: int, budget: int):

@@ -267,6 +267,32 @@ def test_oracle_equals_per_cell_reference_on_zigzag_members():
     assert checked == 2 * 3 * (7 * 7 - 1)
 
 
+def kind_half(r: Region, kind: str) -> Region:
+    """r with every position of one kind half-weighted: "horizontal" (an up
+    cell and its east neighbour, the slot-free move of the oracle's pair
+    step), "east" (a down cell and its east neighbour) or "above" (a down
+    cell and the up cell above it)."""
+
+    def kind_of(a: Cell, b: Cell) -> str:
+        if a[0] != b[0]:
+            return "above"
+        return "horizontal" if is_up(a) else "east"
+
+    positions = {lozenge(c, m) for c in r.cells for m in partners(c) if m in r.cells}
+    return Region(r.cells, frozenset(pos for pos in positions if kind_of(*pos) == kind))
+
+
+@pytest.mark.parametrize("kind", ["horizontal", "east", "above"])
+@pytest.mark.parametrize(
+    "p", [HexParams(2, 2, 0), HexParams(3, 2, 0), HexParams(2, 3, 0)], ids=lambda p: f"H-{p.a}-{p.b}-{p.k}"
+)
+def test_oracle_weighs_each_lozenge_kind_as_the_reference_does(p, kind):
+    # no region of the sweeps half-weights a horizontal position
+    r = kind_half(hexagon(p), kind)
+    assert r.half and _scan_plan(r)[0] == 0  # scanned as given, so the kind is the scan's
+    assert count_oracle(r) == reference_oracle(r)
+
+
 def test_scan_helpers_equal_their_references_on_the_sweeps():
     regions = list(sweep_regions())
     assert len(regions) == 3 * 472 + 2 * 3 * (7 * 7 - 1)

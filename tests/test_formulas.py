@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from lozenge.count import count_oracle
 from lozenge.formulas import (
+    ProductForm,
     _b_table,
     _bar_b_table,
     _const,
-    _evaluate,
     b_poly,
     bar_b_poly,
     bar_c_const,
@@ -18,9 +18,10 @@ from lozenge.formulas import (
     c_const,
     coeff_C,
     coeff_D,
+    evaluate,
     macmahon,
     p_poly,
-    p_poly_degree,
+    product_form,
 )
 from lozenge.regions import HexParams, check_index_list, hexagon, r_bar_region, r_region
 from lozenge.verify import index_list_pairs
@@ -180,7 +181,7 @@ def test_factor_tables_are_polynomials_of_the_stated_degree():
         for barred in (False, True):
             t = _p_table(l, q, barred)
             assert min(t.values(), default=0) >= 0, (l, q, barred)
-            assert p_poly_degree(l, q, barred) == _reference_degree(l, q, barred)
+            assert product_form(l, q, barred).degree == _reference_degree(l, q, barred)
 
 
 def _lagrange_eval(xs, ys, x):
@@ -202,7 +203,7 @@ def test_removable_poles_evaluate_to_the_interpolated_polynomial():
     cases = [(b_poly, reference_b_poly, False, m, n) for m in range(4) for n in range(4)]
     cases += [(bar_b_poly, reference_bar_b_poly, True, m, n) for m in range(4) for n in range(4)]
     for fast, reference, barred, m, n in cases:
-        xs = list(range(p_poly_degree(_staircase(m), _staircase(n), barred) + 1))
+        xs = list(range(product_form(_staircase(m), _staircase(n), barred).degree + 1))
         ys = [fast(m, n, x) for x in xs]
         for x in half_points:
             try:
@@ -215,7 +216,7 @@ def test_removable_poles_evaluate_to_the_interpolated_polynomial():
             (p_poly, reference_p_poly, False),
             (bar_p_poly, reference_bar_p_poly, True),
         ):
-            xs = list(range(p_poly_degree(l, q, barred) + 1))
+            xs = list(range(product_form(l, q, barred).degree + 1))
             ys = [fast(l, q, x) for x in xs]
             for x in half_points:
                 try:
@@ -245,7 +246,7 @@ def test_base_polynomials_are_monic(m, n):
     big = Fraction(10**9)
     for poly, barred in ((b_poly, False), (bar_b_poly, True)):
         staircase = lambda t: tuple(range(1, t + 1))
-        deg = p_poly_degree(staircase(m), staircase(n), barred=barred)
+        deg = product_form(staircase(m), staircase(n), barred).degree
         ratio = poly(m, n, big) / big**deg
         assert abs(ratio - 1) < Fraction(1, 10**6)
 
@@ -307,7 +308,7 @@ def p_poly_shifted_form(l, q, x, barred: bool = False) -> Fraction:
     lam1 = (l[-1] - m) if l else 0
     y = Fraction(x) + lam1
     base = _bar_b_table(m, n) if barred else _b_table(m, n)
-    val = _evaluate(_const(l, q, barred), base, y)
+    val = evaluate(ProductForm(_const(l, q, barred), base), y)
     if barred:
         for h in _h_multiset(l):
             val *= (y - h + m + 1) * (y + h + n)
@@ -358,7 +359,7 @@ def test_polynomial_degree_and_interpolation():
     # reconstruction matches everywhere else
     for l, q, barred in [((2, 4), (1,), False), ((1, 3), (2, 4), True), ((), (3,), False)]:
         poly = bar_p_poly if barred else p_poly
-        d = p_poly_degree(l, q, barred=barred)
+        d = product_form(l, q, barred).degree
         xs = list(range(d + 1))
         ys = [poly(l, q, x) for x in xs]
         for probe in (Fraction(101), Fraction(-17, 3), Fraction(55, 2)):

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+import lozenge.formulas as F
 import lozenge.verify as V
 from lozenge.cli import main
 from lozenge.lattice import Region, symmetry_axis_cut
@@ -43,8 +44,8 @@ def test_region_formula_examples():
     assert verify_region_formula((2, 4, 5), (2, 4), 3).match
 
 
-def test_region_formula_builds_each_member_three_times(monkeypatch):
-    # once for the oracle and once in gv_matrix for each side
+def test_region_formula_builds_each_member_once(monkeypatch):
+    # the oracle and both path determinants read one region per family
     walks = Counter()
 
     def counted(l, q, x, barred):
@@ -54,7 +55,7 @@ def test_region_formula_builds_each_member_three_times(monkeypatch):
     for module in ("regions", "count"):
         monkeypatch.setattr(f"lozenge.{module}.zigzag_walk", counted)
     assert verify_region_formula((2, 4), (1, 3), 2).match
-    assert walks == {False: 3, True: 3}
+    assert walks == {False: 1, True: 1}
 
 
 def test_region_formula_rejects_inadmissible_x():
@@ -142,10 +143,10 @@ def test_broken_hexagon_engines_are_reported(monkeypatch):
         return tuple(rep.match for rep in verify_hexagon(*CAPTION))
 
     assert matches() == (True, True, True)
-    poly = V.family_poly
-    monkeypatch.setattr(V, "family_poly", lambda *args: poly(*args) + 1)
+    evaluate = V.evaluate
+    monkeypatch.setattr(V, "evaluate", lambda form, x: evaluate(form, x) + 1)
     assert matches() == (False, True, False)
-    monkeypatch.setattr(V, "family_poly", poly)
+    monkeypatch.setattr(V, "evaluate", evaluate)
 
     minus, count = hexagon_sides(*CAPTION).cut.minus, V.count_oracle
     monkeypatch.setattr(V, "count_oracle", lambda r: count(r) + (r == minus))
@@ -187,10 +188,10 @@ def _pair_sweep_lines(values):
 def test_shared_member_values_change_no_report(monkeypatch):
     # one table shared by the four sweeps against a fresh table per report,
     # with the engines as they are and with each engine broken
-    poly, count = V.family_poly, V.count_oracle
+    evaluate, count = V.evaluate, V.count_oracle
     for broken in (
         {},
-        {"family_poly": lambda *member: poly(*member) + 1},
+        {"evaluate": lambda form, x: evaluate(form, x) + 1},
         {"count_oracle": lambda r: count(r) + 1},  # every region here is an R/Rbar member
     ):
         for name, engine in broken.items():
@@ -198,14 +199,14 @@ def test_shared_member_values_change_no_report(monkeypatch):
         shared = V.MemberValues()
         lines = _pair_sweep_lines(shared)
         assert lines == _pair_sweep_lines(None)
-        assert shared.counts and shared.polys
+        assert shared.counts and shared.polys and shared.forms
         assert any(line.endswith("match=false") for line in lines) == bool(broken)
         monkeypatch.undo()
 
 
 def test_a_verify_run_computes_each_member_value_once(capsys, monkeypatch):
     tables, counted, evaluated = [], Counter(), Counter()
-    count, poly = V.count_oracle, V.family_poly
+    count, evaluate = V.count_oracle, V.evaluate
 
     class Recorded(V.MemberValues):
         def __init__(self):
@@ -214,7 +215,8 @@ def test_a_verify_run_computes_each_member_value_once(capsys, monkeypatch):
 
     monkeypatch.setattr(V, "MemberValues", Recorded)
     monkeypatch.setattr(V, "count_oracle", lambda r: counted.update([r]) or count(r))
-    monkeypatch.setattr(V, "family_poly", lambda *member: evaluated.update([member]) or poly(*member))
+    # a form lives in the run's table, so its id names its (family, l, q)
+    monkeypatch.setattr(V, "evaluate", lambda form, x: evaluated.update([(id(form), x)]) or evaluate(form, x))
     argv = ["verify", "--target", "all", "--max-entry", "2", "--max-a", "2", "--max-b", "2", "--max-k", "2"]
     assert main(argv) == 0
     capsys.readouterr()
@@ -225,8 +227,29 @@ def test_a_verify_run_computes_each_member_value_once(capsys, monkeypatch):
     sides = [hexagon_sides(p, ws) for p, ws in hexagon_placements(2, 2, 2)]
     hexagons = Counter(r for s in sides for r in (s.region, s.cut.plus, s.cut.minus))
     assert counted == members + hexagons
-    assert set(evaluated) == set(table.polys) and set(evaluated.values()) == {1}
+    assert set(evaluated) == {(id(table.forms[f, l, q]), x) for f, l, q, x in table.polys}
+    assert set(evaluated.values()) == {1}
     assert len(table.counts) > 10 and len(table.polys) > 10 and len(sides) > 10
+
+
+def test_a_verify_run_builds_each_factor_table_once(capsys, monkeypatch):
+    built, table = Counter(), F._p_table
+
+    def counted(l, q, barred):
+        built[barred, l, q] += 1
+        return table(l, q, barred)
+
+    monkeypatch.setattr(F, "_p_table", counted)
+    assert main(["verify", "--target", "all", "--max-entry", "3", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(built) > 100 and set(built.values()) == {1}
+
+
+def test_member_values_equal_the_family_polynomials():
+    values = V.MemberValues()
+    for family, l, q, x in members(3, 2, range(3)):
+        for at in (x, x + Fraction(1, 2)):
+            assert values.poly(family, l, q, at) == V.family_poly(family, l, q, at), (family, l, q, at)
 
 
 def test_report_line_format():
