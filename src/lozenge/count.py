@@ -14,8 +14,11 @@ positions carry a weight in the DP, so a region without them is counted
 in plain integer counts.  On a wide frontier the DP applies several scan
 steps per rebuild of its state dict: the moves of a group of steps depend
 only on the few state bits the group reads, so they are listed once per
-distinct value of those bits and each state is looked up once.  It works
-on any region.
+distinct value of those bits and each state is looked up once.  A scan
+repeats the same groups row after row, so each distinct group fills one
+table for the whole scan, and a group without half weights lists its moves
+as bare target keys, which are applied without a multiply.  It works on
+any region.
 
 ``count_gv`` applies the nonintersecting-path determinant method to the
 two zigzag-anchored families: tilings biject onto tuples of paths of
@@ -42,16 +45,18 @@ from .regions import IndexList, Vertex, zigzag_walk
 SOUTHWEST = "southwest"
 NORTHWEST = "northwest"
 
-# (pair, weight of the move that reads no slot, [(bit, weight)] slots)
-Step = tuple[bool, int, list[tuple[int, int]]]
+# (pair, weight of the move that reads no slot, ((bit, weight), ...) slots)
+Step = tuple[bool, int, tuple[tuple[int, int], ...]]
 
 # From a frontier of WIDE states on, the oracle applies GROUP steps per
-# transfer.  The seven count_ladder oracle scans take 156 ms step by step
-# and 102-105 ms with GROUP 4 at WIDE 64 to 512 (116 ms at 1024); at WIDE
-# 256, GROUP 2, 3, 5 and 6 take 122, 105, 120 and 141 ms.  The 1416
-# hexagon_sweep scans take 254 ms step by step, 254-255 ms at WIDE 128 to
-# 512 and 297 ms at WIDE 64, where tables are filled for too few states.
-# (Fastest of 21 and of 11 in-process rounds, 2-core Xeon, Python 3.11.)
+# transfer.  The seven count_ladder oracle scans take 125 ms step by step
+# and 72-75 ms with GROUP 4 at WIDE 64 to 256 (76-77 ms at 512); at WIDE
+# 256, GROUP 3 and 5 take 75 and 82 ms.  The 1416 hexagon_sweep scans take
+# 212 ms step by step, 210-213 ms with GROUP 4 at WIDE 128 to 512 and 248 ms
+# at WIDE 64, where tables are filled for too few states.  GROUP 3 at WIDE
+# 128 is best there (205-207 ms) and GROUP 4 at WIDE 128 on the ladder
+# (72 ms); no one value is best on both, so the constants stay.  (Fastest
+# of 21 and of 11 in-process rounds, two runs, 2-core Xeon, Python 3.11.)
 WIDE = 256
 GROUP = 4
 
@@ -186,7 +191,7 @@ def _scan_steps(cells: list[Cell], half) -> list[Step]:
             if not col & 1:
                 # without its east neighbour it has no forward partner
                 if i + 1 == end or cells[i + 1][1] != col + 1:
-                    steps.append((False, 1, []))
+                    steps.append((False, 1, ()))
                 continue
             pair = i > start and cells[i - 1][1] == col - 1
             own, unused = (), 0
@@ -202,7 +207,7 @@ def _scan_steps(cells: list[Cell], half) -> list[Step]:
                 slots.append((1 << (above - i + pair), 1 << (unused - ((row + 1, col - 1) in own))))
             if pair:
                 slots += [(1, 0)] * (2 - len(slots))
-            steps.append((pair, 1 << len(own), slots))
+            steps.append((pair, 1 << len(own), tuple(slots)))
         start = end
     return steps
 
@@ -258,32 +263,61 @@ def _frontier_sum(steps: list[Step]) -> int:
     2**GROUP ways, so the table pays for itself only when many states share
     their read bits, on a wide frontier; a narrow frontier and a last lone
     step take one step at a time.
+
+    The same groups recur row after row, so each distinct group keeps its
+    table, keyed by the group itself, for the whole scan, and each entry is
+    filled once.  A group whose steps carry no half weight moves a state
+    with weight 1 on every way, so its entries are flat lists of target
+    keys, a key listed once per way, and a move is one add with no multiply.
+    A weighted group keeps ``(key, weight)`` pairs: listing its keys once
+    per unit of weight made H 7,7,0 with every third column half-weighted
+    about 3.5 times slower.
     """
     states: dict[int, int] = {0: 1}
     wide, size = WIDE, GROUP
+    # group -> (read, shift, flat, table of moves per read value)
+    tables: dict[tuple[Step, ...], tuple[int, int, bool, dict[int, list]]] = {}
     rest = iter(steps)
     for step in rest:
-        if len(states) >= wide and (more := list(islice(rest, size - 1))):
-            group = [step, *more]
-            read = shift = 0
-            for pair, _, slots in group:
-                for bit, _ in slots:
-                    read |= bit << shift
-                read |= 1 << shift
-                shift += 1 + pair
+        if len(states) >= wide and (more := tuple(islice(rest, size - 1))):
+            group = (step, *more)
+            try:
+                read, shift, flat, table = tables[group]
+            except KeyError:
+                read = shift = 0
+                for pair, _, slots in group:
+                    for bit, _ in slots:
+                        read |= bit << shift
+                    read |= 1 << shift
+                    shift += 1 + pair
+                # a half weight makes a weight 2 or more; a pad slot weighs 0
+                flat = all(w0 == 1 and all(w < 2 for _, w in slots) for _, w0, slots in group)
+                table = {}
+                tables[group] = read, shift, flat, table
             nxt: dict[int, int] = {}
             get = nxt.get
-            table: dict[int, list[tuple[int, int]]] = {}
-            for mask, val in states.items():
-                k = mask & read
-                try:
-                    moves = table[k]
-                except KeyError:
-                    moves = table[k] = _fold(group, k)
-                high = mask >> shift
-                for key, w in moves:
-                    key |= high
-                    nxt[key] = get(key, 0) + val * w
+            if flat:
+                for mask, val in states.items():
+                    k = mask & read
+                    try:
+                        keys = table[k]
+                    except KeyError:
+                        keys = table[k] = [key for key, w in _fold(group, k) for _ in range(w)]
+                    high = mask >> shift
+                    for key in keys:
+                        key |= high
+                        nxt[key] = get(key, 0) + val
+            else:
+                for mask, val in states.items():
+                    k = mask & read
+                    try:
+                        moves = table[k]
+                    except KeyError:
+                        moves = table[k] = _fold(group, k)
+                    high = mask >> shift
+                    for key, w in moves:
+                        key |= high
+                        nxt[key] = get(key, 0) + val * w
         else:
             nxt = _step(states, step)
         if not nxt:
@@ -329,7 +363,7 @@ def _step(states: dict[int, int], step: Step) -> dict[int, int]:
     return nxt
 
 
-def _fold(group: list[Step], k: int) -> list[tuple[int, int]]:
+def _fold(group: tuple[Step, ...], k: int) -> list[tuple[int, int]]:
     """The states the group's steps reach from the single state k, with weights."""
     return list(reduce(_step, group, {k: 1}).items())
 

@@ -247,41 +247,43 @@ def _need(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def _coeff_upper(k: int, l, q, x: int, shift: int) -> Fraction:
-    """Upper-bump coefficient; ``shift`` is 1 for the shifted family, 0 for the plain."""
-    l, q = check_index_list(l, "l"), check_index_list(q, "q")
+def upper_coeff(k: int, l: IndexList, q: IndexList, x: int, barred: bool) -> Fraction:
+    """Upper-bump coefficient of the plain family, or of the shifted one when
+    ``barred``, on lists already returned by ``check_index_list``."""
     m, n = len(l), len(q)
     _need(1 <= k <= n, f"k={k} out of range 1..{n}")
+    shift = 1 if barred else 0
     lm = l[-1] if l else 0
     top = x + lm + q[k - 1]
     low = 2 * q[k - 1] + m - n + shift
     return Fraction(binomial(top, low)) + Fraction(binomial(top, low - 1), 2)
 
 
-def _coeff_lower(k: int, l, q, x: int, shift: int) -> Fraction:
-    """Lower-bump coefficient; ``shift`` is 1 for the plain family, 0 for the shifted."""
-    l, q = check_index_list(l, "l"), check_index_list(q, "q")
+def lower_coeff(k: int, l: IndexList, q: IndexList, x: int, barred: bool) -> Fraction:
+    """Lower-bump coefficient of the plain family, or of the shifted one when
+    ``barred``, on lists already returned by ``check_index_list``."""
     m, n = len(l), len(q)
     _need(1 <= k <= m, f"k={k} out of range 1..{m}")
+    shift = 0 if barred else 1
     lm, lk = l[-1], l[k - 1]
     return Fraction(binomial(x + lm + lk - m + n + shift, 2 * lk - m + n + shift))
 
 
 def coeff_C(k: int, l, q, x: int) -> Fraction:
     """Upper-bump elimination coefficient for the plain family (m <= n)."""
-    return _coeff_upper(k, l, q, x, 0)
+    return upper_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, False)
 
 
 def coeff_D(k: int, l, q, x: int) -> Fraction:
     """Lower-bump elimination coefficient for the plain family (m > n)."""
-    return _coeff_lower(k, l, q, x, 1)
+    return lower_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, False)
 
 
 def coeff_barC(k: int, l, q, x: int) -> Fraction:
     """Upper-bump elimination coefficient for the shifted family (m < n)."""
-    return _coeff_upper(k, l, q, x, 1)
+    return upper_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, True)
 
 
 def coeff_barD(k: int, l, q, x: int) -> Fraction:
     """Lower-bump elimination coefficient for the shifted family (m >= n)."""
-    return _coeff_lower(k, l, q, x, 0)
+    return lower_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, True)

@@ -36,13 +36,11 @@ from .formulas import (
     ProductForm,
     bar_c_const,
     bar_p_poly,
-    coeff_barC,
-    coeff_barD,
-    coeff_C,
-    coeff_D,
     evaluate,
+    lower_coeff,
     p_poly,
     product_form,
+    upper_coeff,
 )
 from .lattice import CutResult, Region, congruent, eliminate_forced, symmetry_axis_cut
 from .regions import (
@@ -334,21 +332,20 @@ def recurrence_terms(family: str, l: IndexList, q: IndexList, x) -> list:
     value, as ``[(coeff, child)]`` with the member = sum of coeff * child.
     It drops upper bumps when q is longer (for R also at equal length) and
     lower bumps otherwise; at equal length the other family adds a term."""
+    l, q = check_index_list(l, "l"), check_index_list(q, "q")
     m, n = len(l), len(q)
     barred = family == "Rbar"
     if m < n or (m == n and not barred):
-        coeff = coeff_barC if barred else coeff_C
         terms = [
-            ((-1) ** (n - k) * coeff(k, l, q, x), (family, l, omit(q, k), x))
+            ((-1) ** (n - k) * upper_coeff(k, l, q, x, barred), (family, l, omit(q, k), x))
             for k in range(1, n + 1)
         ]
     else:
-        coeff = coeff_barD if barred else coeff_D
         terms = [
-            ((-1) ** (m - k) * coeff(k, l, q, x), (family, omit(l, k), q, x - 1))
+            ((-1) ** (m - k) * lower_coeff(k, l, q, x, barred), (family, omit(l, k), q, x - 1))
             for k in range(1, m)
         ]
-        terms.append((coeff(m, l, q, x), _drop_top_lower(family, l, q, x)))
+        terms.append((lower_coeff(m, l, q, x, barred), _drop_top_lower(family, l, q, x)))
     if m == n:
         terms.append(((-1) ** n, ("R", l, q, x - 1) if barred else ("Rbar", l, q, x)))
     return terms

@@ -113,7 +113,7 @@ def reference_scan_steps(cells: list[Cell], half) -> list[Step]:
             row, col = cell = cells[i]
             if not col & 1:
                 if i + 1 == end or cells[i + 1][1] != col + 1:
-                    steps.append((False, 1, []))
+                    steps.append((False, 1, ()))
                 continue
             pair = i > start and cells[i - 1][1] == col - 1
             own = marked.get(cell, ())
@@ -125,7 +125,7 @@ def reference_scan_steps(cells: list[Cell], half) -> list[Step]:
                     slots.append((1 << (m - i + pair), 1 << (unused - (mate in own))))
             if pair:
                 slots += [(1, 0)] * (2 - len(slots))
-            steps.append((pair, 1 << len(own), slots))
+            steps.append((pair, 1 << len(own), tuple(slots)))
         start = end
     return steps
 
@@ -447,6 +447,18 @@ def middle_half_hexagon():
     return r, reference_oracle(r)
 
 
+def third_half_hexagon():
+    # H 7,7,0 with every lozenge whose first cell's column is divisible by 3
+    # half-weighted, which puts a half weight into every group of steps,
+    # against the per-step loop
+    cells = hexagon(HexParams(7, 7, 0)).cells
+    half = {pos for c in cells for m in partners(c) if m in cells
+            for pos in [lozenge(c, m)] if pos[0][1] % 3 == 0}
+    r = Region(cells, frozenset(half))
+    _, steps = _scan_plan(r)
+    return r, Fraction(grouped_sum(steps, PER_STEP, 4), 1 << len(half))
+
+
 @pytest.mark.parametrize(
     "build,weighted",
     [
@@ -455,10 +467,12 @@ def middle_half_hexagon():
         # these members meet their half positions while the frontier is narrow
         (lambda: wide_member("R", (1, 3, 5), (2, 4), 8), False),
         (lambda: wide_member("Rbar", (2, 4, 6), (1, 3, 5), 6), False),
-        # this region takes half-weighted steps inside grouped transfers
+        # these regions take half-weighted steps inside grouped transfers
         (middle_half_hexagon, True),
+        (third_half_hexagon, True),
     ],
-    ids=["H-7-7-0", "H-7-6-3-D3@3", "R-135-24-8", "Rbar-246-135-6", "H-6-6-0-half"],
+    ids=["H-7-7-0", "H-7-6-3-D3@3", "R-135-24-8", "Rbar-246-135-6", "H-6-6-0-half",
+         "H-7-7-0-third-half"],
 )
 def test_grouped_transfer_runs_on_wide_frontiers(monkeypatch, build, weighted):
     # at the default WIDE and GROUP the oracle takes the grouped path and
@@ -473,6 +487,24 @@ def test_grouped_transfer_runs_on_wide_frontiers(monkeypatch, build, weighted):
     r, want = build()
     assert count_oracle(r) == want
     assert tables and any(tables) == weighted
+
+
+@pytest.mark.parametrize(
+    "build,fills",
+    [(lambda: hexagon(HexParams(7, 7, 0)), 350), (lambda: wide_windowed_hexagon()[0], 478)],
+    ids=["H-7-7-0", "H-7-6-3-D3@3"],
+)
+def test_each_grouped_table_entry_is_filled_once_per_scan(monkeypatch, build, fills):
+    # the same groups recur row after row and share one table for the scan
+    seen = []
+
+    def spy(group, k):
+        seen.append((group, k))
+        return _fold(group, k)
+
+    monkeypatch.setattr("lozenge.count._fold", spy)
+    count_oracle(build())
+    assert len(seen) == len(set(seen)) == fills
 
 
 def test_tilings_partition_the_region():

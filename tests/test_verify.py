@@ -14,6 +14,7 @@ from lozenge.regions import (
     HexParams,
     WindowSpec,
     _check,
+    check_index_list,
     hexagon,
     min_x,
     windowed_hexagon,
@@ -324,11 +325,29 @@ def test_frozen_edges_and_children_come_from_the_tables():
                 assert instance_children(fam, l, q, x) == want
 
 
+def test_recurrence_terms_checks_its_lists_once(monkeypatch):
+    # the coefficients of every term read the lists checked on entry
+    names = []
+
+    def spy(lst, name="list"):
+        names.append(name)
+        return check_index_list(lst, name)
+
+    monkeypatch.setattr(V, "check_index_list", spy)
+    monkeypatch.setattr(F, "check_index_list", spy)
+    for family, l, q in [("R", (1, 3), (2, 4, 5)), ("Rbar", (1, 3, 5), (2, 4)), ("R", (2,), (2,))]:
+        names.clear()
+        assert len(recurrence_terms(family, l, q, 9)) >= 2
+        assert names == ["l", "q"], family
+    with pytest.raises(ValueError, match="strictly increasing"):
+        recurrence_terms("R", (3, 1), (2,), 9)
+
+
 def test_broken_recurrence_coefficients_are_reported(monkeypatch):
-    for name in ("coeff_C", "coeff_D"):
+    for name in ("upper_coeff", "lower_coeff"):
         good = getattr(V, name)
         monkeypatch.setattr(V, name, lambda *args, good=good: good(*args) + 1)
-    # the upper-bump (coeff_C) and the lower-bump (coeff_D) expansions
+    # the upper-bump and the lower-bump expansions
     assert not verify_count_recurrences((1,), (1, 2), 1).match
     assert not verify_count_recurrences((1, 2), (1,), 2).match
     assert not verify_poly_recurrences((1,), (1, 2)).match
