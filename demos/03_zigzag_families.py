@@ -10,7 +10,10 @@ Their weighted tiling counts come out identically from
 * one evaluation of a closed product polynomial.
 
 The last row of a path matrix holds the closed-form coefficients of the
-one-bump recurrences, which the last lines print.
+one-bump recurrences; the last lines print both and assert that they agree
+on four unequal-length members.  Acceptance criterion 9 in
+tests/test_acceptance.py pins this over the whole zigzag sweep, including
+the equal-length correction.
 """
 
 from fractions import Fraction
@@ -64,3 +67,4 @@ for family, side, l, q, coeff, count in [
     want = [coeff(k, l, q, x) for k in range(1, count + 1)]
     print(f"{family:>4} {side:<9} l={list(l)} q={list(q)} x={x}:", *row[-count:], end=" ")
     print(f"| {coeff.__name__}:", *want)
+    assert row[-count:] == want, (family, side)

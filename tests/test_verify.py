@@ -344,14 +344,22 @@ def test_recurrence_terms_checks_its_lists_once(monkeypatch):
 
 
 def test_broken_recurrence_coefficients_are_reported(monkeypatch):
-    for name in ("upper_coeff", "lower_coeff"):
-        good = getattr(V, name)
-        monkeypatch.setattr(V, name, lambda *args, good=good: good(*args) + 1)
-    # the upper-bump and the lower-bump expansions
-    assert not verify_count_recurrences((1,), (1, 2), 1).match
-    assert not verify_count_recurrences((1, 2), (1,), 2).match
-    assert not verify_poly_recurrences((1,), (1, 2)).match
-    assert not verify_poly_recurrences((1, 2), (1,)).match
+    # one family's coefficients are broken at a time, so each family's
+    # check is pinned on its own
+    for broken in (False, True):
+        with monkeypatch.context() as mp:
+            for name in ("upper_coeff", "lower_coeff"):
+                good = getattr(V, name)
+                mp.setattr(
+                    V, name, lambda k, l, q, x, barred, good=good: good(k, l, q, x, barred) + (barred == broken)
+                )
+            # the upper-bump and the lower-bump expansions
+            assert not verify_count_recurrences((1,), (1, 2), 1).match, broken
+            assert not verify_count_recurrences((1, 2), (1,), 2).match, broken
+            assert not verify_poly_recurrences((1,), (1, 2)).match, broken
+            assert not verify_poly_recurrences((1, 2), (1,)).match, broken
+        # the patch is undone between the two families
+        assert verify_poly_recurrences((1,), (1, 2)).match
 
 
 def test_reachability_full_small_sweep():
