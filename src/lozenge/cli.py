@@ -52,12 +52,13 @@ def parse_window(text: str) -> WindowSpec:
     try:
         kind_txt, rest = text.split(":", 1)
         size_txt, row_txt = rest.split("@", 1)
-        kind = {"D": "DELTA", "N": "NABLA"}[kind_txt]
-        return WindowSpec(kind, int(size_txt), int(row_txt))
+        kind, size, row = {"D": "DELTA", "N": "NABLA"}[kind_txt], int(size_txt), int(row_txt)
     except (ValueError, KeyError) as exc:
         raise ValueError(
             f"--window expects D:<size>@<row> or N:<size>@<row>, got {text!r}"
         ) from exc
+    # a well-formed window that WindowSpec refuses keeps WindowSpec's message
+    return WindowSpec(kind, size, row)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -212,10 +213,30 @@ def cmd_cut(args) -> int:
     return 0
 
 
-VERIFY_TARGETS = ("theorem11", "prop21", "recurrences", "boundary", "poly", "increments", "factorization")
+# each verify target and the least value of each bound that it reads: at
+# these bounds or above every target selects at least one instance, so no
+# run passes having checked nothing
+PAIR_BOUNDS = {"max_entry": 1, "max_len": 1}
+HEXAGON_BOUNDS = {"max_a": 1, "max_b": 1, "max_k": 0}
+LEAST_BOUNDS = {
+    "theorem11": HEXAGON_BOUNDS,
+    "prop21": {**PAIR_BOUNDS, "x_extra": 0},
+    "recurrences": {**PAIR_BOUNDS, "x_extra": 1},
+    "boundary": PAIR_BOUNDS,
+    "poly": PAIR_BOUNDS,
+    "increments": {"random_count": 1},
+    "factorization": HEXAGON_BOUNDS,
+}
+VERIFY_TARGETS = tuple(LEAST_BOUNDS)
 
 
 def cmd_verify(args) -> int:
+    targets = VERIFY_TARGETS if args.target == "all" else (args.target,)
+    for target in targets:
+        for bound, least in LEAST_BOUNDS[target].items():
+            if getattr(args, bound) < least:
+                flag = "--" + bound.replace("_", "-")
+                raise ValueError(f"--target {target} needs {flag} >= {least}, got {getattr(args, bound)}")
     reports = []
 
     def run(reps):
@@ -223,7 +244,6 @@ def cmd_verify(args) -> int:
             reports.append(rep)
             print(rep.line())
 
-    targets = VERIFY_TARGETS if args.target == "all" else (args.target,)
     # one table for the whole run: each member is counted and evaluated once
     values = V.MemberValues()
     pair_args = dict(max_entry=args.max_entry, max_len=args.max_len, values=values)

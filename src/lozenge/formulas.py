@@ -247,7 +247,7 @@ def _need(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def upper_coeff(k: int, l: IndexList, q: IndexList, x: int, barred: bool) -> Fraction:
+def _upper_coeff(k: int, l: IndexList, q: IndexList, x: int, barred: bool) -> Fraction:
     """Upper-bump coefficient of the plain family, or of the shifted one when
     ``barred``, on lists already returned by ``check_index_list``."""
     m, n = len(l), len(q)
@@ -259,7 +259,7 @@ def upper_coeff(k: int, l: IndexList, q: IndexList, x: int, barred: bool) -> Fra
     return Fraction(binomial(top, low)) + Fraction(binomial(top, low - 1), 2)
 
 
-def lower_coeff(k: int, l: IndexList, q: IndexList, x: int, barred: bool) -> Fraction:
+def _lower_coeff(k: int, l: IndexList, q: IndexList, x: int, barred: bool) -> Fraction:
     """Lower-bump coefficient of the plain family, or of the shifted one when
     ``barred``, on lists already returned by ``check_index_list``."""
     m, n = len(l), len(q)
@@ -271,19 +271,19 @@ def lower_coeff(k: int, l: IndexList, q: IndexList, x: int, barred: bool) -> Fra
 
 def coeff_C(k: int, l, q, x: int) -> Fraction:
     """Upper-bump elimination coefficient for the plain family (m <= n)."""
-    return upper_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, False)
+    return _upper_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, False)
 
 
 def coeff_D(k: int, l, q, x: int) -> Fraction:
     """Lower-bump elimination coefficient for the plain family (m > n)."""
-    return lower_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, False)
+    return _lower_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, False)
 
 
 def coeff_barC(k: int, l, q, x: int) -> Fraction:
     """Upper-bump elimination coefficient for the shifted family (m < n)."""
-    return upper_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, True)
+    return _upper_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, True)
 
 
 def coeff_barD(k: int, l, q, x: int) -> Fraction:
     """Lower-bump elimination coefficient for the shifted family (m >= n)."""
-    return lower_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, True)
+    return _lower_coeff(k, check_index_list(l, "l"), check_index_list(q, "q"), x, True)

@@ -22,7 +22,8 @@ A vertical mirror axis is parameterized by an integer ``p`` (the line
 and the single cell of row ``r`` crossed by the axis has ``col = p - r - 1``.
 The vertebrae (:func:`vertebra_labels`) follow one rule: a slot, the row
 pair ``(r0, r0 + 1)`` with ``r0 == p (mod 2)`` clipped to the ambient row
-span, is a vertebra when the axis cells of all of its rows survive.
+span, is a vertebra when its rows keep their axis cells (``rows``: in a
+windowed hexagon, the rows that no window spans).
 """
 
 from __future__ import annotations
@@ -287,21 +288,20 @@ def symmetry_axis_cut(r: Region) -> CutResult:
 
 
 def vertebra_labels(
-    r: Region, reference_row: int, row_span: tuple[int, int]
+    p: int, rows, reference_row: int, row_span: tuple[int, int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Label axis vertebrae below and above a horizontal reference line.
+    """Label the vertebrae of the axis x = p/2 below and above a horizontal
+    reference line, given the ``rows`` whose axis cell survives.
 
     A slot is a row pair ``(r0, r0 + 1)`` with ``r0 == p (mod 2)``, clipped
     to ``row_span``, the ambient (lowest, highest) row; a slot clipped to
-    one row is a triangle.  A slot is a vertebra exactly when the axis cell
-    of each of its clipped rows is in ``r``.  Each side lists its slots
-    outward from the line (above: lowest row at or above ``reference_row``;
-    below: highest row under it), drops the first if it is a triangle on
-    the line, numbers the rest from 1 and returns the numbers of the
-    vertebrae.  Every cell of ``r`` lies inside ``row_span``.
+    one row is a triangle.  A slot is a vertebra exactly when its clipped
+    rows are in ``rows``; a window on the axis removes exactly the axis
+    cells of its rows.  Each side lists its slots outward from the line
+    (above: lowest row at or above ``reference_row``; below: highest row
+    under it), drops the first if it is a triangle on the line, numbers the
+    rest from 1 and returns the numbers of the vertebrae.
     """
-    p = mirror_axis(r)
-    present = {row for row, _ in crossed_cells(r, p)}
     row_lo, row_hi = row_span
     first = row_lo - 1 + (p - row_lo + 1) % 2  # the least r0 >= row_lo - 1 of p's parity
     slots = [(max(r0, row_lo), min(r0 + 1, row_hi)) for r0 in range(first, row_hi + 1, 2)]
@@ -309,7 +309,7 @@ def vertebra_labels(
     def labels(side: list[tuple[int, int]], edge: int) -> tuple[int, ...]:
         if side and side[0] == (edge, edge):
             side = side[1:]
-        return tuple(n for n, (lo, hi) in enumerate(side, 1) if lo in present and hi in present)
+        return tuple(n for n, (lo, hi) in enumerate(side, 1) if lo in rows and hi in rows)
 
     below = [slot for slot in reversed(slots) if slot[1] < reference_row]
     above = [slot for slot in slots if slot[0] >= reference_row]

@@ -331,21 +331,21 @@ def windowed_hexagon(
     an odd DELTA window and ``Hbar_lq`` for an odd NABLA window, and the
     labels count from the odd window's base line.  Only the canonical
     description (:func:`canonical_hexagon`: windows whose apex lies on the
-    hull absorbed) is built, and its labels are read before forced
-    lozenges are removed.  Raises ``ValueError`` as
-    :func:`canonical_hexagon` does, and for no tilings.
+    hull absorbed) is built; its labels are read from the rows no window
+    spans, as a window removes exactly the axis cells of its rows.  Raises
+    ``ValueError`` as :func:`canonical_hexagon` does, and for no tilings.
     """
     cp, cws = canonical_hexagon(p, windows)
-    holey = carved_hexagon(cp, cws)
     odd = next((w for w in cws if not w.even), None)
-    below, above = vertebra_labels(holey, odd.base_row if odd else 0, row_span=(0, cp.nrows - 1))
+    rows = set(range(cp.nrows)).difference(*(range(w.row_lo, w.row_hi + 1) for w in cws))
+    below, above = vertebra_labels(cp.axis, rows, odd.base_row if odd else 0, (0, cp.nrows - 1))
     if odd is None:
         family, l, q = "H_l", above, ()
     else:
         family = "H_lq" if odd.kind == "DELTA" else "Hbar_lq"
         l, q = below, above
 
-    final, factor, untileable = eliminate_forced(holey)
+    final, factor, untileable = eliminate_forced(carved_hexagon(cp, cws))
     if untileable:
         raise ValueError(f"hexagon {p} with windows {windows} has no tilings: "
                          "forced-lozenge elimination reached a dead end")

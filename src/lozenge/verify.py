@@ -34,13 +34,13 @@ from .count import NORTHWEST, SOUTHWEST, _path_matrix, count_oracle
 from .exact import determinant
 from .formulas import (
     ProductForm,
+    _lower_coeff,
+    _upper_coeff,
     bar_c_const,
     bar_p_poly,
     evaluate,
-    lower_coeff,
     p_poly,
     product_form,
-    upper_coeff,
 )
 from .lattice import CutResult, Region, congruent, eliminate_forced, symmetry_axis_cut
 from .regions import (
@@ -337,15 +337,15 @@ def recurrence_terms(family: str, l: IndexList, q: IndexList, x) -> list:
     barred = family == "Rbar"
     if m < n or (m == n and not barred):
         terms = [
-            ((-1) ** (n - k) * upper_coeff(k, l, q, x, barred), (family, l, omit(q, k), x))
+            ((-1) ** (n - k) * _upper_coeff(k, l, q, x, barred), (family, l, omit(q, k), x))
             for k in range(1, n + 1)
         ]
     else:
         terms = [
-            ((-1) ** (m - k) * lower_coeff(k, l, q, x, barred), (family, omit(l, k), q, x - 1))
+            ((-1) ** (m - k) * _lower_coeff(k, l, q, x, barred), (family, omit(l, k), q, x - 1))
             for k in range(1, m)
         ]
-        terms.append((lower_coeff(m, l, q, x, barred), _drop_top_lower(family, l, q, x)))
+        terms.append((_lower_coeff(m, l, q, x, barred), _drop_top_lower(family, l, q, x)))
     if m == n:
         terms.append(((-1) ** n, ("R", l, q, x - 1) if barred else ("Rbar", l, q, x)))
     return terms

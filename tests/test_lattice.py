@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lozenge.regions as regions
 from lozenge.count import count_oracle
 from lozenge.lattice import (
     Cell,
@@ -258,25 +259,22 @@ def test_cut_rejects_odd_crossing_count():
 
 
 def test_vertebra_labels_plain_tall_hexagon():
-    h = hexagon(HexParams(5, 5, 3))
-    below, above = vertebra_labels(h, 0, row_span=(0, 12))
+    # every row of the 5,5,3 hexagon keeps its axis cell
+    below, above = vertebra_labels(HexParams(5, 5, 3).axis, set(range(13)), 0, row_span=(0, 12))
     assert below == ()
     assert above == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_vertebra_labels_after_windows():
-    hexa = hexagon(HexParams(5, 6, 6))
-    removed = (
-        WindowSpec("DELTA", 4, 5).cells(11) | WindowSpec("DELTA", 2, 11).cells(11)
-    )
-    holey = Region(hexa.cells - removed)
-    below, above = vertebra_labels(holey, 0, row_span=(0, 17))
+    # D:4@5 spans rows 5..8 and D:2@11 rows 11..12 of the 5,6,6 hexagon
+    rows = set(range(18)) - {5, 6, 7, 8, 11, 12}
+    below, above = vertebra_labels(HexParams(5, 6, 6).axis, rows, 0, row_span=(0, 17))
     assert below == ()
     assert above == (1, 2, 5, 7, 8, 9)
 
 
 def test_vertebra_labels_empty_axis():
-    below, above = vertebra_labels(Region(), 0, (0, 0))
+    below, above = vertebra_labels(0, set(), 0, (0, 0))
     assert below == () and above == ()
 
 
@@ -338,37 +336,62 @@ def reference_vertebra_labels(
     return enumerate_side(False), enumerate_side(True)
 
 
-def test_vertebra_labels_equal_their_reference_on_the_hexagon_sweep():
-    checked = 0
-    for p, ws in [*hexagon_placements(6, 6, 3), *FIGURE_HEXAGONS]:
-        try:
-            cp, cws = canonical_hexagon(p, ws)
-        except DegenerateHexagon:
-            continue
-        holey = carved_hexagon(cp, cws)
+@pytest.fixture(scope="module")
+def sweep_label_reads():
+    """For each sweep placement that is not degenerate: its canonical
+    parameters and windows, its carved region and the arguments that
+    :func:`lozenge.regions.windowed_hexagon` passes to ``vertebra_labels``."""
+    reads, out = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "vertebra_labels", lambda *args: reads.append(args) or vertebra_labels(*args))
+        for p, ws in [*hexagon_placements(6, 6, 3), *FIGURE_HEXAGONS]:
+            try:
+                cp, cws = canonical_hexagon(p, ws)
+            except DegenerateHexagon:
+                continue
+            windowed_hexagon(cp, cws)
+            out.append(((p, ws), cp, cws, carved_hexagon(cp, cws), reads[-1]))
+    assert len(reads) == len(out) == 1725 + len(FIGURE_HEXAGONS)
+    return out
+
+
+def test_window_rows_are_the_crossed_rows_of_the_carved_region(sweep_label_reads):
+    # a window centred on the axis removes the axis cell of each of its rows
+    # and no other axis cell, so the rows no window spans are the crossed ones
+    for placement, cp, _, carved, (axis, rows, _, _) in sweep_label_reads:
+        assert mirror_axis(carved) == cp.axis == axis, placement
+        assert rows == {row for row, _ in crossed_cells(carved, axis)}, placement
+
+
+def test_vertebra_labels_equal_their_reference_on_the_hexagon_sweep(sweep_label_reads):
+    # the package reads the axis and the rows no window spans, the reference
+    # the carved region
+    for placement, cp, cws, carved, args in sweep_label_reads:
         reference_row = next((w.base_row for w in cws if not w.even), 0)
-        args = (holey, reference_row, (0, cp.nrows - 1))
-        assert vertebra_labels(*args) == reference_vertebra_labels(*args), (p, ws)
-        checked += 1
-    assert checked == 1725 + len(FIGURE_HEXAGONS)
+        assert args[2:] == (reference_row, (0, cp.nrows - 1)), placement
+        want = reference_vertebra_labels(carved, reference_row, (0, cp.nrows - 1))
+        assert vertebra_labels(*args) == want, placement
 
 
 @st.composite
-def hexagons_with_axis_gaps(draw) -> tuple[Region, int, tuple[int, int]]:
-    """A hexagon with a, b <= 6 and k <= 5, a random subset of its axis
-    cells removed, a reference row in -1..nrows+1 and its row span."""
+def hexagons_with_axis_gaps(draw):
+    """A hexagon with a, b <= 6 and k <= 5 and a random subset of its axis
+    cells removed: its axis, the region, the rows that keep their axis cell,
+    a reference row in -1..nrows+1 and the row span."""
     b = draw(st.integers(0, 6))
     p = HexParams(draw(st.integers(1, 6)), b, draw(st.integers(0 if b else 1, 5)))
-    rows = draw(st.sets(st.integers(0, p.nrows - 1)))
-    gone = {(row, p.axis - row - 1) for row in rows}
-    holey = Region(hexagon(p).cells - gone)
-    return holey, draw(st.integers(-1, p.nrows + 1)), (0, p.nrows - 1)
+    gone = draw(st.sets(st.integers(0, p.nrows - 1)))
+    holey = Region(hexagon(p).cells - {(row, p.axis - row - 1) for row in gone})
+    rows = set(range(p.nrows)) - gone
+    return p.axis, holey, rows, draw(st.integers(-1, p.nrows + 1)), (0, p.nrows - 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(hexagons_with_axis_gaps())
 def test_vertebra_labels_equal_their_reference_on_random_axis_gaps(case):
-    assert vertebra_labels(*case) == reference_vertebra_labels(*case)
+    axis, holey, rows, reference_row, row_span = case
+    want = reference_vertebra_labels(holey, reference_row, row_span)
+    assert vertebra_labels(axis, rows, reference_row, row_span) == want
 
 
 def test_triregion_round_trip():

@@ -240,6 +240,14 @@ def test_cli_counts_hexagons_their_windows_absorb(capsys):
         (["count", "--family", "H", "--a", "3", "--b", "3", "--k", "2", "--window", "D:2@2",
           "--method", "gv"],
          "the determinant method applies to the R and Rbar families only"),
+        # a target whose bounds select no instance would pass checking nothing
+        (["verify", "--max-entry", "0"], "--target prop21 needs --max-entry >= 1, got 0"),
+        (["verify", "--target", "recurrences", "--x-extra", "0"],
+         "--target recurrences needs --x-extra >= 1, got 0"),
+        (["verify", "--target", "theorem11", "--max-a", "0"], "--target theorem11 needs --max-a >= 1, got 0"),
+        # a well-formed window keeps WindowSpec's own message
+        (["count", "--family", "H", "--a", "2", "--b", "2", "--k", "0", "--window", "D:0@1"],
+         "window size must be positive, got 0"),
     ],
 )
 def test_cli_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, argv, needle):

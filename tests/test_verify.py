@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 import lozenge.formulas as F
+import lozenge.lattice as L
 import lozenge.verify as V
 from lozenge.cli import main
 from lozenge.lattice import Region, symmetry_axis_cut
@@ -156,6 +157,15 @@ def test_broken_hexagon_engines_are_reported(monkeypatch):
 
     monkeypatch.setattr(V, "congruent", lambda r1, r2: False)
     assert matches() == (True, True, False)
+
+
+def test_one_hexagon_check_finds_the_mirror_axis_once(monkeypatch):
+    # the labels read the axis from the canonical description, so only the
+    # cut searches the region for it
+    calls, mirror_axis = [], L.mirror_axis
+    monkeypatch.setattr(L, "mirror_axis", lambda r: calls.append(r) or mirror_axis(r))
+    s = hexagon_sides(*CAPTION)
+    assert calls == [s.region]
 
 
 def test_each_hexagon_region_is_counted_once(capsys, monkeypatch):
@@ -348,7 +358,7 @@ def test_broken_recurrence_coefficients_are_reported(monkeypatch):
     # check is pinned on its own
     for broken in (False, True):
         with monkeypatch.context() as mp:
-            for name in ("upper_coeff", "lower_coeff"):
+            for name in ("_upper_coeff", "_lower_coeff"):
                 good = getattr(V, name)
                 mp.setattr(
                     V, name, lambda k, l, q, x, barred, good=good: good(k, l, q, x, barred) + (barred == broken)
