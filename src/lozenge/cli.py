@@ -303,7 +303,7 @@ def build_parser() -> Parser:
     p_formula.add_argument("--q")
     p_formula.add_argument("--m", type=int)
     p_formula.add_argument("--n", type=int)
-    p_formula.add_argument("--x", help="rational argument, e.g. 3 or 7/2")
+    p_formula.add_argument("--x", help="rational argument, e.g. 3 or 7/2; write a negative one as --x=-7/2")
     p_formula.set_defaults(func=cmd_formula)
 
     p_mac = subs.add_parser("macmahon", help="boxed plane partition count")

@@ -16,9 +16,10 @@ steps per rebuild of its state dict: the moves of a group of steps depend
 only on the few state bits the group reads, so they are listed once per
 distinct value of those bits and each state is looked up once.  A scan
 repeats the same groups row after row, so each distinct group fills one
-table for the whole scan, and a group without half weights lists its moves
-as bare target keys, which are applied without a multiply.  It works on
-any region.
+table for the whole scan.  A table lists its moves as bare target keys,
+applied without a multiply, so only a group without half weights has one;
+a group with a half weight, rare on a wide frontier, runs step by step.
+It works on any region.
 
 ``count_gv`` applies the nonintersecting-path determinant method to the
 two zigzag-anchored families: tilings biject onto tuples of paths of
@@ -258,47 +259,51 @@ def _frontier_sum(steps: list[Step]) -> int:
     shifts of the steps before it, and ``shift`` is the group's total
     shift.  For each distinct ``mask & read`` a table lists the states
     that :func:`_step`, folded over the group (:func:`_fold`), reaches from
-    that value alone, with their weights; a state ``mask`` then goes to
-    each of them ORed with ``mask >> shift``.  Filling an entry walks up to
-    2**GROUP ways, so the table pays for itself only when many states share
-    their read bits, on a wide frontier; a narrow frontier and a last lone
-    step take one step at a time.
+    that value alone, each once per way; a state ``mask`` then goes to each
+    of them ORed with ``mask >> shift``, one add with no multiply.  Filling
+    an entry walks up to 2**GROUP ways, so the table pays for itself only
+    when many states share their read bits, on a wide frontier; a narrow
+    frontier and a last lone step take one step at a time.
 
-    The same groups recur row after row, so each distinct group keeps its
-    table, keyed by the group itself, for the whole scan, and each entry is
-    filled once.  A group whose steps carry no half weight moves a state
-    with weight 1 on every way, so its entries are flat lists of target
-    keys, a key listed once per way, and a move is one add with no multiply.
-    On the slowest count_ladder rung (H 7,6,3 with D:3@3) shared tables
-    alone save about 2% and flat entries a further 10%.  A weighted group
-    keeps ``(key, weight)`` pairs: listing its keys once per unit of weight
-    made H 7,7,0 with every third column half-weighted about 3.5 times
-    slower.
+    Only a group whose steps carry no half weight moves a state with weight
+    1 on every way, so only such a group has a table.  A group with a half
+    weight runs its steps one at a time: no grouped transfer of the
+    benchmark workloads carries one, and family members that meet half
+    weights on a wide frontier carry them in 1 or 2 of 7 to 61 grouped
+    transfers (R 1,2/1,2,3,4 at x = 16: 2 of 30).  The same groups recur
+    row after row, so each distinct group keeps its table, keyed by the
+    group itself, for the whole scan, and each entry is filled once.  On
+    the slowest count_ladder rung (H 7,6,3 with D:3@3) shared tables alone
+    save about 2% and listing ways without weights a further 10%.
     """
     states: dict[int, int] = {0: 1}
     wide, size = WIDE, GROUP
-    # group -> (read, shift, flat, table of moves per read value)
-    tables: dict[tuple[Step, ...], tuple[int, int, bool, dict[int, list]]] = {}
+    # group -> (read, shift, target keys per read value), None with a half weight
+    tables: dict[tuple[Step, ...], tuple[int, int, dict[int, list[int]]] | None] = {}
     rest = iter(steps)
     for step in rest:
         if len(states) >= wide and (more := tuple(islice(rest, size - 1))):
             group = (step, *more)
             try:
-                read, shift, flat, table = tables[group]
+                entry = tables[group]
             except KeyError:
-                read = shift = 0
-                for pair, _, slots in group:
-                    for bit, _ in slots:
-                        read |= bit << shift
-                    read |= 1 << shift
-                    shift += 1 + pair
+                entry = None
                 # a half weight makes a weight 2 or more; a pad slot weighs 0
-                flat = all(w0 == 1 and all(w < 2 for _, w in slots) for _, w0, slots in group)
-                table = {}
-                tables[group] = read, shift, flat, table
-            nxt: dict[int, int] = {}
-            get = nxt.get
-            if flat:
+                if all(w0 == 1 and all(w < 2 for _, w in slots) for _, w0, slots in group):
+                    read = shift = 0
+                    for pair, _, slots in group:
+                        for bit, _ in slots:
+                            read |= bit << shift
+                        read |= 1 << shift
+                        shift += 1 + pair
+                    entry = read, shift, {}
+                tables[group] = entry
+            if entry is None:
+                nxt = reduce(_step, group, states)
+            else:
+                read, shift, table = entry
+                nxt: dict[int, int] = {}
+                get = nxt.get
                 for mask, val in states.items():
                     k = mask & read
                     try:
@@ -309,17 +314,6 @@ def _frontier_sum(steps: list[Step]) -> int:
                     for key in keys:
                         key |= high
                         nxt[key] = get(key, 0) + val
-            else:
-                for mask, val in states.items():
-                    k = mask & read
-                    try:
-                        moves = table[k]
-                    except KeyError:
-                        moves = table[k] = _fold(group, k)
-                    high = mask >> shift
-                    for key, w in moves:
-                        key |= high
-                        nxt[key] = get(key, 0) + val * w
         else:
             nxt = _step(states, step)
         if not nxt:

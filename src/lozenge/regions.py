@@ -311,10 +311,10 @@ def canonical_hexagon(
 
 
 def carved_hexagon(p: HexParams, windows: list[WindowSpec]) -> Region:
-    """The hexagon with its windows cut out, after the checks of
-    :func:`canonical_hexagon`; no window is absorbed and no forced lozenge
-    removed, so a degenerate description has one too."""
-    _check(p, windows)
+    """The hexagon with its windows cut out; no window is absorbed and no
+    forced lozenge removed, so a degenerate description has one too.  The
+    description is not checked here: :func:`canonical_hexagon` must have
+    accepted it, or refused it only as a :class:`DegenerateHexagon`."""
     return Region(hexagon(p).cells.difference(*(w.cells(p.axis) for w in windows)))
 
 

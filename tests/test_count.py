@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lozenge.count import (
     NORTHWEST,
     SOUTHWEST,
+    WIDE,
     PathEndpoints,
     Step,
     _fold,
@@ -18,6 +19,7 @@ from lozenge.count import (
     _row_bound,
     _scan_plan,
     _scan_steps,
+    _step,
     _turn,
     _turned_half,
     _walk_tilings,
@@ -450,13 +452,17 @@ def middle_half_hexagon():
 def third_half_hexagon():
     # H 7,7,0 with every lozenge whose first cell's column is divisible by 3
     # half-weighted, which puts a half weight into every group of steps,
-    # against the per-step loop
+    # against the per-cell reference DP
     cells = hexagon(HexParams(7, 7, 0)).cells
     half = {pos for c in cells for m in partners(c) if m in cells
             for pos in [lozenge(c, m)] if pos[0][1] % 3 == 0}
     r = Region(cells, frozenset(half))
-    _, steps = _scan_plan(r)
-    return r, Fraction(grouped_sum(steps, PER_STEP, 4), 1 << len(half))
+    return r, reference_oracle(r)
+
+
+def carries_half_weight(step: Step) -> bool:
+    _, w0, slots = step
+    return w0 > 1 or any(w > 1 for _, w in slots)
 
 
 @pytest.mark.parametrize(
@@ -467,26 +473,37 @@ def third_half_hexagon():
         # these members meet their half positions while the frontier is narrow
         (lambda: wide_member("R", (1, 3, 5), (2, 4), 8), False),
         (lambda: wide_member("Rbar", (2, 4, 6), (1, 3, 5), 6), False),
-        # these regions take half-weighted steps inside grouped transfers
+        # these regions take half-weighted steps while the frontier is wide
         (middle_half_hexagon, True),
         (third_half_hexagon, True),
+        (lambda: wide_member("R", (1, 2), (1, 2, 3, 4), 16), True),
     ],
     ids=["H-7-7-0", "H-7-6-3-D3@3", "R-135-24-8", "Rbar-246-135-6", "H-6-6-0-half",
-         "H-7-7-0-third-half"],
+         "H-7-7-0-third-half", "R-12-1234-16"],
 )
 def test_grouped_transfer_runs_on_wide_frontiers(monkeypatch, build, weighted):
     # at the default WIDE and GROUP the oracle takes the grouped path and
-    # still equals an independent engine
-    tables = []  # per table entry filled: whether its group carries a weight
+    # still equals an independent engine; a group with a half weight fills
+    # no table entry and runs its steps one at a time on the wide frontier
+    fills = []  # per table entry filled: whether its group carries a half weight
+    wide = []  # per step run on a frontier of WIDE states: whether it carries one
 
-    def spy(group, k):
-        tables.append(any(w0 > 1 or any(w > 1 for _, w in slots) for _, w0, slots in group))
+    def fold_spy(group, k):
+        fills.append(any(map(carries_half_weight, group)))
         return _fold(group, k)
 
-    monkeypatch.setattr("lozenge.count._fold", spy)
+    def step_spy(states, step):
+        if len(states) >= WIDE:
+            wide.append(carries_half_weight(step))
+        return _step(states, step)
+
+    monkeypatch.setattr("lozenge.count._fold", fold_spy)
+    monkeypatch.setattr("lozenge.count._step", step_spy)
     r, want = build()
     assert count_oracle(r) == want
-    assert tables and any(tables) == weighted
+    assert not any(fills)
+    assert any(wide) == weighted
+    assert fills or weighted
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from lozenge.cli import main
 from lozenge.count import enumerate_tilings
+from lozenge.formulas import p_poly
 from lozenge.lattice import lozenge, region_from_text, region_to_text
 from lozenge.regions import HexParams, hexagon, r_region, zigzag_walk
 from lozenge.render import first_tiling, render_ascii, render_svg, validate_tiling
@@ -284,6 +286,16 @@ def test_cli_formula_at_a_removable_pole(capsys):
     # B(1, 1) = (x+1)(x+2)^2(x+3) has no pole; its product form divides by x + 3/2
     assert main(["formula", "--which", "B", "--m", "1", "--n", "1", "--x=-3/2"]) == 0
     assert capsys.readouterr().out.strip() == "-3/16"
+
+
+def test_cli_formula_reads_a_negative_rational_after_an_equals_sign(capsys):
+    # argparse takes the "-7/2" of "--x -7/2" for a flag; the help names the
+    # form that works
+    assert main(["formula", "--which", "P", "--l", "1", "--x=-7/2"]) == 0
+    assert capsys.readouterr().out.strip() == str(p_poly((1,), (), Fraction(-7, 2)))
+    with pytest.raises(SystemExit):
+        main(["formula", "--help"])
+    assert "--x=-7/2" in capsys.readouterr().out
 
 
 def test_cli_verify_all_matches_golden_output(capsys):

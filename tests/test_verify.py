@@ -168,6 +168,24 @@ def test_one_hexagon_check_finds_the_mirror_axis_once(monkeypatch):
     assert calls == [s.region]
 
 
+@pytest.mark.parametrize(
+    "p,ws",
+    [CAPTION, (HexParams(5, 5, 1), [WindowSpec("DELTA", 2, 2), WindowSpec("NABLA", 1, 1)])],
+    ids=["caption", "absorbed-N1@1"],
+)
+def test_one_hexagon_check_validates_once_per_canonical_pass(monkeypatch, p, ws):
+    # windowed_hexagon validates a raw description once and carves the
+    # canonical one without checking it again; hexagon_sides hands it the
+    # canonical description, which is validated a second time
+    calls = []
+    monkeypatch.setattr("lozenge.regions._check", lambda *a: calls.append(a) or _check(*a))
+    windowed_hexagon(p, ws)
+    assert len(calls) == 1
+    calls.clear()
+    hexagon_sides(p, ws)
+    assert len(calls) == 2
+
+
 def test_each_hexagon_region_is_counted_once(capsys, monkeypatch):
     counted, count = [], V.count_oracle
     monkeypatch.setattr(V, "count_oracle", lambda r: counted.append(r) or count(r))
